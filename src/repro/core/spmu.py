@@ -277,7 +277,7 @@ class SparseMemoryUnit:
         backend: str = "array",
         record_trace: bool = False,
     ):
-        if backend not in ("array", "numba", "reference"):
+        if backend not in ("array", "reference"):
             raise SimulationError(f"unknown SpMU backend {backend!r}")
         self._config = config or SpMUConfig()
         self._config.validate()
@@ -401,14 +401,7 @@ class SparseMemoryUnit:
 
     @property
     def backend(self) -> str:
-        """The configured backend (``"array"``, ``"numba"``, or ``"reference"``).
-
-        ``"numba"`` routes stats-only batch simulation through the compiled
-        per-cycle kernel; paths that need issue collection or trace
-        recording (including :meth:`simulate`'s functional execution) run
-        on the array engine either way, so the two backends are
-        interchangeable here.
-        """
+        """The configured backend (``"array"`` or ``"reference"``)."""
         return self._backend
 
     def simulate(self, vectors) -> SpMUStats:
@@ -951,6 +944,10 @@ def _variant_cache_key(variant: SpMUVariant) -> Tuple:
     )
 
 
+#: ``backend=`` values :func:`effective_bank_throughput_batch` accepts.
+_THROUGHPUT_BACKENDS = (None, "array", "numpy", "vectorized", "reference")
+
+
 def effective_bank_throughput_batch(
     variants: Sequence[SpMUVariant],
     backend: Optional[str] = None,
@@ -969,10 +966,9 @@ def effective_bank_throughput_batch(
 
     Args:
         variants: The SpMU configuration points to measure.
-        backend: ``None`` (process default), ``"array"``/``"numpy"``
-            (lock-step engine), ``"numba"`` (compiled per-cycle kernel,
-            numpy fallback when absent), or ``"reference"`` (scalar loop
-            per variant, for benchmarking and verification).
+        backend: ``None``/``"array"``/``"numpy"``/``"vectorized"`` (the
+            lock-step engine) or ``"reference"`` (scalar loop per variant,
+            for benchmarking and verification).
         memory_budget: Byte budget bounding the cold-variant lock-step
             state (see :func:`~repro.core.spmu_array.simulate_variants`);
             ``None`` defers to ``REPRO_MEMORY_BUDGET``.
@@ -981,6 +977,10 @@ def effective_bank_throughput_batch(
         Sustained random-access requests per cycle, aligned with
         ``variants``.
     """
+    if backend not in _THROUGHPUT_BACKENDS:
+        raise SimulationError(
+            f"unknown SpMU backend {backend!r}; expected one of {_THROUGHPUT_BACKENDS}"
+        )
     variants = list(variants)
     results = np.empty(len(variants), dtype=np.float64)
     if backend == "reference":
@@ -1040,7 +1040,6 @@ def effective_bank_throughput_batch(
     simulated = simulate_variants(
         cold_variants,
         [traces[v.lanes] for v in cold_variants],
-        backend=backend,
         memory_budget=memory_budget,
     )
     fresh: Dict[str, float] = {}

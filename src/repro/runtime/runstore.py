@@ -81,7 +81,7 @@ def flatten_metrics(section: Dict[str, Any]) -> Dict[str, float]:
     """Numeric metrics of one section dict, nested dicts dotted one level.
 
     Booleans are flags, not metrics, and are excluded; ``None`` values
-    (e.g. ``spmu_numba_speedup`` without numba) are dropped -- absence in
+    (a metric a run could not measure) are dropped -- absence in
     ``section_metrics`` is how a metric reads as unrecorded.
     """
     flat: Dict[str, float] = {}

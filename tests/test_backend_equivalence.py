@@ -17,6 +17,7 @@ from repro.errors import WorkloadError
 from repro.formats import to_csr
 from repro.runtime import registry
 from repro.runtime.cache import profile_to_dict
+from repro.runtime.cli import main as cli_main
 from repro.runtime.registry import RunContext
 from repro.workloads import load_dataset
 
@@ -53,6 +54,14 @@ def test_unknown_backend_rejected():
     matrix = to_csr(load_dataset("Trefethen_20000", scale=1 / 256).matrix)
     with pytest.raises(WorkloadError):
         spmv_csr(matrix, np.ones(matrix.shape[1]), backend="loops")
+
+
+@pytest.mark.parametrize("subcommand", [[], ["dse"], ["sweep"]], ids=["eval", "dse", "sweep"])
+def test_cli_rejects_numba_backend(subcommand, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main([*subcommand, "--backend", "numba"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'numba'" in capsys.readouterr().err
 
 
 def test_backend_functional_outputs_agree():

@@ -25,6 +25,7 @@ from repro.runtime.jobs import (
     JOB_FAILED,
     UNIT_DEAD,
     UNIT_DONE,
+    UNIT_RUNNING,
     JobSpec,
     JobStore,
     WorkUnit,
@@ -34,6 +35,20 @@ from repro.runtime.jobs import (
 def _markers(scratch: Path, unit: int) -> int:
     root = scratch / f"unit-{unit}"
     return len(list(root.glob("attempt-*"))) if root.is_dir() else 0
+
+
+class _GatedExecutor(LocalExecutor):
+    """Signals ``holding`` once it has a wave, runs it after ``release``."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.holding = threading.Event()
+        self.release = threading.Event()
+
+    def run_units(self, payloads, *, stop_on_error=False):
+        self.holding.set()
+        self.release.wait(timeout=30)
+        return super().run_units(payloads, stop_on_error=stop_on_error)
 
 
 def _probe(value, **extra):
@@ -207,6 +222,48 @@ class TestExactlyOnce:
             assert all(unit.state == UNIT_DONE for unit in units)
             assert store.job(job_id).state == JOB_DONE
         assert [_markers(scratch, i) for i in range(8)] == [1] * 8
+
+    def test_stale_running_state_never_overwrites_done(self, tmp_path):
+        # Claimant A finishes its unit while B still holds a lease, so A
+        # reads "running". B is released exactly then, between A's count
+        # read and its job-state write; B finishes the job. Whatever order
+        # the two final steps land in, the job must end "done", not with
+        # A's stale "running" written last.
+        db = tmp_path / "runs.sqlite"
+        with JobStore(db) as store:
+            job_id = store.submit(JobSpec.probes(2)).id
+        gated = _GatedExecutor()
+        errors = []
+
+        def drain_b():
+            try:
+                with JobStore(db) as store:
+                    store.run_job(job_id, gated)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        claimant_b = threading.Thread(target=drain_b)
+        claimant_b.start()
+        assert gated.holding.wait(timeout=30)
+        with JobStore(db) as store:
+            unit_states = store.unit_states
+
+            def counts_then_release_b(job):
+                counts = unit_states(job)
+                if counts.get(UNIT_RUNNING) and not gated.release.is_set():
+                    gated.release.set()
+                    claimant_b.join(timeout=0.5)
+                return counts
+
+            store.unit_states = counts_then_release_b
+            summary = store.run_job(job_id, LocalExecutor(1))
+        claimant_b.join(timeout=30)
+        assert not errors
+        assert gated.release.is_set()
+        assert summary.completed == 1
+        with JobStore(db) as store:
+            assert store.unit_states(job_id) == {UNIT_DONE: 2}
+            assert store.job(job_id).state == JOB_DONE
 
 
 class TestDeadLetter:

@@ -40,6 +40,7 @@ from repro.eval.tables import TABLE4_PAPER
 from repro.runtime.cache import ThroughputStore
 
 ORDERINGS = tuple(OrderingMode)
+SCHEDULED_ORDERINGS = (OrderingMode.UNORDERED, OrderingMode.ADDRESS_ORDERED)
 ALL_OPS = tuple(RMWOp)
 
 
@@ -181,9 +182,66 @@ class TestSimulatorEquivalence:
                     vectors if backend == "reference" else RequestTrace.from_vectors(vectors)
                 )
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("ordering", SCHEDULED_ORDERINGS, ids=lambda o: o.value)
+    @pytest.mark.parametrize("allocator", ("separable", "greedy"))
+    @given(
+        depth=st.sampled_from((1, 4, 16)),
+        crossbar=st.sampled_from((16, 32)),
+        seed=st.integers(min_value=0, max_value=2_000),
+        count=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_crossbar_widths(self, ordering, allocator, depth, crossbar, seed, count):
+        # A crossbar wider than the lane count issues more than one vector's
+        # requests per cycle, which the scheduled engines must model exactly.
+        config = SpMUConfig(queue_depth=depth, crossbar_inputs=crossbar)
+        vectors = random_request_vectors(count, lanes=16, address_space=512, seed=seed)
+        _assert_equivalent(config, 16, ordering, "hash", allocator, vectors)
+
+    @pytest.mark.parametrize("crossbar", (16, 32))
+    def test_mixed_grid_in_one_batch(self, crossbar):
+        # One simulate_variants call steps heterogeneous variants together
+        # and compacts finished ones out of the batch; each result must
+        # still equal the reference simulator run alone on its trace.
+        grid = [
+            (OrderingMode.UNORDERED, "separable", 4, 16),
+            (OrderingMode.ADDRESS_ORDERED, "separable", 8, 16),
+            (OrderingMode.UNORDERED, "greedy", 16, 8),
+            (OrderingMode.ADDRESS_ORDERED, "greedy", 4, 16),
+            (OrderingMode.FULLY_ORDERED, "separable", 4, 8),
+        ]
+        variants, traces = [], []
+        for seed, (ordering, allocator, depth, lanes) in enumerate(grid):
+            variants.append(
+                SpMUVariant(
+                    ordering=ordering,
+                    allocator_kind=allocator,
+                    config=SpMUConfig(queue_depth=depth, crossbar_inputs=crossbar),
+                    lanes=lanes,
+                )
+            )
+            traces.append(
+                RequestTrace.from_vectors(
+                    random_request_vectors(3 + seed, lanes=lanes, address_space=512, seed=seed)
+                )
+            )
+        batched = simulate_variants(variants, traces)
+        for variant, trace, result in zip(variants, traces, batched):
+            reference = SparseMemoryUnit(
+                config=variant.config,
+                lanes=variant.lanes,
+                ordering=variant.ordering,
+                bank_mapping=variant.bank_mapping,
+                allocator_kind=variant.allocator_kind,
+                pipeline_latency=variant.pipeline_latency,
+                backend="reference",
+            )
+            assert _stats_tuple(reference.simulate(trace)) == _stats_tuple(result)
+
+    @pytest.mark.parametrize("backend", ["magic", "numba"])
+    def test_unknown_backend_rejected(self, backend):
         with pytest.raises(SimulationError):
-            SparseMemoryUnit(backend="magic")
+            SparseMemoryUnit(backend=backend)
 
 
 class TestEvaluationConfigurations:
@@ -331,6 +389,21 @@ class TestBatchedThroughput:
         batched = effective_bank_throughput_batch(variants)
         reference = effective_bank_throughput_batch(variants, backend="reference")
         assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("backend", ["array", "numpy", "vectorized"])
+    def test_engine_aliases_match_reference(self, isolated_store, backend):
+        # Each alias names the lock-step engine; the isolated store keeps
+        # the measurement cold, so every alias really simulates.
+        variants = self._grid()[:4]
+        assert np.array_equal(
+            effective_bank_throughput_batch(variants, backend=backend),
+            effective_bank_throughput_batch(variants, backend="reference"),
+        )
+
+    @pytest.mark.parametrize("backend", ["magic", "numba"])
+    def test_unknown_backend_rejected(self, backend):
+        with pytest.raises(SimulationError):
+            effective_bank_throughput_batch(self._grid()[:1], backend=backend)
 
     def test_populates_store_and_memo_in_one_pass(self, isolated_store, monkeypatch):
         variants = self._grid()
