@@ -8,10 +8,9 @@ including scipy interoperability used by the baselines.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import TYPE_CHECKING, List, Union
 
 import numpy as np
-from scipy import sparse as sp
 
 from ..errors import ConversionError
 from .base import SparseMatrixFormat
@@ -23,6 +22,9 @@ from .csc import CSCMatrix
 from .csr import CSRMatrix
 from .dcsr import DCSCMatrix, DCSRMatrix
 from .dense import DenseMatrix, DenseVector
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse as sp
 
 AnyMatrix = Union[
     DenseMatrix, CSRMatrix, CSCMatrix, COOMatrix, DCSRMatrix, DCSCMatrix, BCSRMatrix, BandedMatrix
@@ -69,6 +71,10 @@ def to_dense_matrix(matrix: SparseMatrixFormat) -> DenseMatrix:
 
 def to_scipy_csr(matrix: SparseMatrixFormat) -> sp.csr_matrix:
     """Convert any supported matrix format to a ``scipy.sparse.csr_matrix``."""
+    # Imported here: scipy takes ~0.3 s to import, and only this bridge
+    # (and the CPU baselines built on it) needs it.
+    from scipy import sparse as sp
+
     rows, cols, values = matrix.to_coo_arrays()
     return sp.coo_matrix((values, (rows, cols)), shape=matrix.shape).tocsr()
 

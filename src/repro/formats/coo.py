@@ -53,6 +53,46 @@ class COOMatrix(SparseMatrixFormat):
         self._values = values
 
     @classmethod
+    def from_canonical(
+        cls,
+        shape: Tuple[int, int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray,
+    ) -> "COOMatrix":
+        """Wrap arrays that are already canonical, verifying them in O(nnz).
+
+        The constructor sorts and sums duplicates, O(nnz log nnz). Arrays
+        taken from a canonical matrix (e.g. persisted and loaded back) only
+        need checking: 1-D ``int64`` indices within ``shape``, ``float64``
+        values of the same length, and strictly increasing ``(row, col)``
+        keys. The arrays are adopted as-is; raises :class:`FormatError` if
+        any check fails.
+        """
+        shape = check_shape(shape)
+        arrays = (rows, cols, values)
+        dtypes = (np.int64, np.int64, np.float64)
+        if any(
+            not isinstance(a, np.ndarray) or a.ndim != 1 or a.dtype != dtype
+            for a, dtype in zip(arrays, dtypes)
+        ):
+            raise FormatError("canonical COO needs 1-D int64 rows/cols and float64 values")
+        if not (rows.size == cols.size == values.size):
+            raise FormatError("rows, cols, and values must have matching length")
+        if rows.size:
+            # Strictly increasing keys with in-bounds columns imply sorted,
+            # duplicate-free rows, so only the end rows need a bounds check.
+            if rows[0] < 0 or rows[-1] >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]:
+                raise FormatError("canonical COO indices fall outside the shape")
+            keys = rows * shape[1] + cols
+            if not np.all(keys[1:] > keys[:-1]):
+                raise FormatError("canonical COO keys are not strictly increasing")
+        matrix = cls.__new__(cls)
+        matrix._shape = shape
+        matrix._rows, matrix._cols, matrix._values = rows, cols, values
+        return matrix
+
+    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "COOMatrix":
         """Build a COO matrix from a dense 2-D array, dropping zeros."""
         array = np.asarray(dense, dtype=np.float64)

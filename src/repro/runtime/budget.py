@@ -34,7 +34,7 @@ re-exports them as the public API next to the per-engine cost models.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .._budget import (
     ENV_MEMORY_BUDGET,
@@ -44,12 +44,15 @@ from .._budget import (
     plan_chunks,
     resolve_memory_budget,
 )
-from ..apps.timing import COSTING_BYTES_PER_CELL
-from ..core.spmu_array import SpMUVariant, _PreparedTrace, _variant_footprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.spmu_array import SpMUVariant, _PreparedTrace
+
+# The cost models below import the engines they model on first use, so
+# importing the planner (or the runtime package) stays cheap.
 
 __all__ = [
     "ENV_MEMORY_BUDGET",
-    "COSTING_BYTES_PER_CELL",
     "ChunkPlan",
     "costing_chunk_platforms",
     "iter_chunked",
@@ -70,10 +73,14 @@ def costing_chunk_platforms(n_profiles: int, memory_budget: Optional[int]) -> Op
     """
     if memory_budget is None:
         return None
+    from ..apps.timing import COSTING_BYTES_PER_CELL
+
     per_platform = max(n_profiles, 1) * COSTING_BYTES_PER_CELL
     return plan_chunks(0, per_platform, memory_budget).chunk_items
 
 
 def variant_state_bytes(variant: SpMUVariant, prep: _PreparedTrace) -> int:
     """Lock-step working-set estimate for one SpMU variant (cost model)."""
+    from ..core.spmu_array import _variant_footprint
+
     return _variant_footprint(variant, prep)

@@ -24,6 +24,19 @@ lanes) point in every fresh process.
 Entries are JSON files (one per record) written atomically; a corrupt,
 truncated, or version-skewed entry reads as a miss, never as an error.
 
+The profile cache has a second tier: the generated Table 6 datasets the
+profiles are computed from, in ``<root>/datasets/`` as ``.npz`` arrays
+keyed by (name, scale, seed, minimum dimension, code fingerprint). A
+profile unit run with the cache on (:func:`repro.runtime.jobs.execute_unit`)
+reads and fills it through :meth:`ProfileCache.datasets`, so each dataset
+is generated once per cache rather than once per worker process (the
+experiment runner caches profiles itself and runs its units with the
+unit cache off, so it leaves the tier alone); the format belongs to
+:class:`~repro.workloads.store.DatasetStore`. The same
+switches govern both tiers (``cache=False`` or the kill switch bypasses
+the datasets too), :meth:`ProfileCache.clear` and :meth:`ProfileCache.prune`
+cover both, and ``len(cache)`` counts profiles only.
+
 Set ``REPRO_PROFILE_CACHE`` / ``REPRO_THROUGHPUT_CACHE`` to relocate the
 cache directories and ``REPRO_PROFILE_CACHE_DISABLE=1`` /
 ``REPRO_THROUGHPUT_CACHE_DISABLE=1`` to turn either cache off entirely.
@@ -40,6 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from ..apps.profile import WorkloadProfile
+from ..workloads.store import DatasetStore
 from .registry import RunContext
 
 #: Bump when the serialized profile layout changes incompatibly.
@@ -144,7 +158,8 @@ class ProfileCache:
     """Content-addressed :class:`WorkloadProfile` store.
 
     Attributes:
-        root: Directory holding one ``<key>.json`` file per profile.
+        root: Directory holding one ``<key>.json`` file per profile (and the
+            dataset tier, see :meth:`datasets`).
         hits / misses / stores: Per-instance access statistics.
     """
 
@@ -213,9 +228,16 @@ class ProfileCache:
         _write_json_atomic(self.root, self._path(key), payload)
         self.stores += 1
 
+    def datasets(self) -> DatasetStore:
+        """The dataset tier under this cache's root, at the current code."""
+        return DatasetStore(self.root, code_fingerprint())
+
     def clear(self) -> int:
-        """Delete every cache entry (and stray temp files); returns the count."""
-        removed = 0
+        """Delete every profile and dataset entry (and stray temp files).
+
+        Returns the number of files removed.
+        """
+        removed = self.datasets().clear()
         if self.root.is_dir():
             for path in list(self.root.glob("*.json")) + list(self.root.glob("*.tmp")):
                 try:
@@ -229,12 +251,12 @@ class ProfileCache:
         """Remove entries written by other code versions, and stray temps.
 
         Every source edit changes the code fingerprint and orphans the
-        previous entries; pruning keeps only profiles the current code
-        could still serve. Returns the number of files removed.
+        previous entries; pruning keeps only profiles and datasets the
+        current code could still serve. Returns the number of files removed.
         """
-        removed = 0
         if not self.root.is_dir():
             return 0
+        removed = self.datasets().prune()
         current = code_fingerprint()
         for path in self.root.glob("*.tmp"):
             try:

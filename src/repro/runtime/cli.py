@@ -32,16 +32,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._budget import ENV_MEMORY_BUDGET, parse_memory_budget
 from ..errors import CapstanError
 from .cache import ProfileCache, default_cache_dir, profile_to_dict
-from .dse import explore, prefill_throughputs
 from .registry import RunContext, app_datasets, app_order
-from .runner import ExperimentRunner
-from .runstore import RunStore, default_run_db
-from .sweep import AXIS_VALUE_PARSERS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .runstore import RunStore
+
+# Each subcommand imports the layers only it uses (DSE, runner, run store,
+# sweep axes), so ``repro-eval worker`` starts without them.
 
 #: Executor names accepted by --executor flags.
 _EXECUTOR_CHOICES = ("local", "pool", "subprocess")
@@ -132,12 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"profile cache directory (default: {default_cache_dir()})",
     )
     parser.add_argument(
-        "--clear-cache", action="store_true", help="delete cached profiles, then exit"
+        "--clear-cache",
+        action="store_true",
+        help="delete cached profiles and datasets, then exit",
     )
     parser.add_argument(
         "--prune-cache",
         action="store_true",
-        help="delete cached profiles from other code versions, then exit",
+        help="delete cached profiles and datasets from other code versions, then exit",
     )
     parser.add_argument("--list", action="store_true", help="list the registered grid, then exit")
     parser.add_argument(
@@ -149,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_axis(text: str) -> Tuple[str, List[Any]]:
     """Parse one ``--axis name=v1,v2,...`` specification."""
+    from .sweep import AXIS_VALUE_PARSERS
+
     axis, separator, raw = text.partition("=")
     axis = axis.strip()
     if not separator or not raw.strip():
@@ -181,6 +187,8 @@ def _parse_axes(parser: argparse.ArgumentParser, specs: List[str]) -> Dict[str, 
 
 
 def build_dse_parser() -> argparse.ArgumentParser:
+    from .sweep import AXIS_VALUE_PARSERS
+
     parser = argparse.ArgumentParser(
         prog="repro-eval dse",
         description=(
@@ -336,6 +344,7 @@ def _dse_search_main(
     cache: object,
     context: "RunContext",
 ) -> int:
+    from .runner import ExperimentRunner
     from .search import (
         DEFAULT_SEARCH_AXES,
         AdaptiveSearch,
@@ -402,6 +411,8 @@ def _dse_search_main(
 
 
 def _dse_main(argv: List[str]) -> int:
+    from .dse import explore, prefill_throughputs
+
     parser = build_dse_parser()
     args = parser.parse_args(argv)
     _apply_memory_budget(parser, args)
@@ -526,6 +537,8 @@ def _dse_main(argv: List[str]) -> int:
 
 
 def _add_run_db_argument(parser: argparse.ArgumentParser) -> None:
+    from .runstore import default_run_db
+
     parser.add_argument(
         "--db",
         default=None,
@@ -533,7 +546,9 @@ def _add_run_db_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_run_store(args: argparse.Namespace) -> "RunStore":
+def _open_run_store(args: argparse.Namespace) -> RunStore:
+    from .runstore import RunStore
+
     return RunStore(args.db) if args.db else RunStore()
 
 
@@ -738,7 +753,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
         description=(
             "Work-unit worker: read JSON-line requests "
             '({"id": N, "payload": {"kind": ...}}) from stdin, execute each '
-            "unit, and answer one JSON line per request on stdout. This is "
+            "unit, and answer one JSON line per request on stdout; a "
+            '{"id": N, "ping": true} request is answered without executing '
+            "anything (the executor's warmup handshake). This is "
             "the entry point the subprocess executor drives, locally or "
             "through any command prefix (e.g. ssh)."
         ),
@@ -770,8 +787,13 @@ def _worker_main(argv: List[str]) -> int:
             continue
         try:
             request = json.loads(line)
+            if request.get("ping"):
+                # Warmup handshake: answered here, never run as a unit.
+                protocol.write(json.dumps({"id": request.get("id"), "ok": True}) + "\n")
+                protocol.flush()
+                continue
             payload = request["payload"]
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             response: Dict[str, Any] = {
                 "id": None,
                 "ok": False,
@@ -819,6 +841,8 @@ def _worker_main(argv: List[str]) -> int:
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
+    from .sweep import AXIS_VALUE_PARSERS
+
     parser = argparse.ArgumentParser(
         prog="repro-eval sweep",
         description=(
@@ -1080,6 +1104,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dse_main(argv[1:])
     if argv and argv[0] in _SUBCOMMANDS:
         return _SUBCOMMANDS[argv[0]](argv[1:])
+    from .runner import ExperimentRunner
+
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_memory_budget(parser, args)
@@ -1093,7 +1119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         target = ProfileCache(root=args.cache_dir) if args.cache_dir else ProfileCache()
         removed = target.clear() if args.clear_cache else target.prune()
         verb = "removed" if args.clear_cache else "pruned"
-        print(f"{verb} {removed} cached profiles from {target.root}")
+        print(f"{verb} {removed} cache files (profiles and datasets) from {target.root}")
         return 0
 
     cache: object

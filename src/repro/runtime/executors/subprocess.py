@@ -1,11 +1,25 @@
-"""Subprocess executor: persistent ``repro-eval worker`` children.
+"""Subprocess executor: ``repro-eval worker`` children, one set per run.
 
-Each of ``workers`` driver threads owns one long-lived worker process and
-speaks a JSON-lines protocol over its stdin/stdout::
+Each of ``workers`` driver threads owns one worker process for the length
+of one :meth:`SubprocessExecutor.run_units` call -- one wave of a job --
+and speaks a JSON-lines protocol over its stdin/stdout::
 
+    -> {"id": 1, "ping": true}
+    <- {"id": 1, "ok": true}
     -> {"id": 7, "payload": {"kind": "profile", ...}}
     <- {"id": 7, "ok": true, "result": {...}, "duration_s": 0.42}
     <- {"id": 8, "ok": false, "error": "...", "traceback": "...", ...}
+
+A fresh worker is warmed with a ``ping``, answered by the worker loop
+itself: it never reaches :func:`~repro.runtime.jobs.execute_unit`, so unit
+faults cannot fire on it. A worker that does not answer its ping within
+:data:`WARMUP_TIMEOUT_S` counts as a failed spawn.
+
+Workers are retired when ``run_units`` returns, so a job pays one spawn
+per slot per wave. Keeping them across waves would skip those spawns, but
+a worker's resident high-water mark keeps its heaviest unit: on the 11x3
+profile grid at scale 1/4 (2 workers, 2-core VM) that cut the sweep from
+~23 s to ~11 s while peak summed RSS rose from ~390 MiB to ~730 MiB.
 
 The worker command is an arbitrary prefix (default: this interpreter
 running ``repro.runtime.cli``) with ``worker`` appended -- the SSH-shaped
@@ -60,8 +74,9 @@ def default_worker_command() -> List[str]:
     return [sys.executable, "-m", "repro.runtime.cli"]
 
 
-#: Generous cap on worker startup (interpreter + imports), separate from the
-#: per-unit ``timeout_s`` so slow spawns never masquerade as unit timeouts.
+#: Generous cap on worker startup (interpreter + imports, answered by the
+#: warmup ping), separate from the per-unit ``timeout_s`` so slow spawns
+#: never masquerade as unit timeouts.
 WARMUP_TIMEOUT_S = 120.0
 
 
@@ -98,7 +113,7 @@ class _ProtocolError(CapstanError):
 
 
 class _Worker:
-    """One persistent worker process and its line-framed conversation."""
+    """One worker process and its line-framed conversation."""
 
     def __init__(self, command: List[str]):
         self.proc = subprocess.Popen(
@@ -135,15 +150,22 @@ class _Worker:
         Raises :class:`TimeoutError` past ``timeout_s`` (caller kills the
         worker) and :class:`_WorkerDied` if the process goes away.
         """
+        return self._exchange({"payload": payload}, timeout_s)
+
+    def ping(self, timeout_s: float) -> None:
+        """Block until the worker loop answers a ping (see :meth:`request`)."""
+        self._exchange({"ping": True}, timeout_s)
+
+    def _exchange(self, message: Dict[str, Any], timeout_s: Optional[float]) -> Dict[str, Any]:
         self._next_id += 1
         request_id = self._next_id
-        line = json.dumps({"id": request_id, "payload": payload}) + "\n"
+        line = json.dumps({"id": request_id, **message}) + "\n"
         stdin = self.proc.stdin
         assert stdin is not None
         try:
             stdin.write(line.encode())
             stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: kill() closed the pipe
             raise _WorkerDied(f"worker stdin closed: {exc}") from None
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         while True:
@@ -169,7 +191,10 @@ class _Worker:
     def _read_line(self, deadline: Optional[float]) -> bytes:
         stdout = self.proc.stdout
         assert stdout is not None
-        fd = stdout.fileno()
+        try:
+            fd = stdout.fileno()
+        except ValueError:  # kill() closed the pipe
+            raise _WorkerDied("worker was killed before responding") from None
         with selectors.DefaultSelector() as selector:
             selector.register(fd, selectors.EVENT_READ)
             while True:
@@ -199,7 +224,12 @@ class _Worker:
 
 
 class SubprocessExecutor(Executor):
-    """Executor fanning units out over persistent worker subprocesses.
+    """Executor fanning units out over worker subprocesses.
+
+    Each slot spawns its worker on its first unit of a :meth:`run_units`
+    call and retires it when the call returns (and replaces it after a
+    timeout, crash or protocol error); the module docstring gives the
+    measured reason workers do not outlive a call.
 
     Args:
         workers: Worker process count (one driver thread each).
@@ -321,10 +351,21 @@ class SubprocessExecutor(Executor):
             holder["worker"] = worker
             with self._workers_lock:
                 self._live_workers.append(worker)
-            # Warm the fresh worker with a no-op probe so its startup cost
+            # cancel() kills the workers registered when it runs; one that
+            # landed while the spawn was still in flight must not be left
+            # to wait out its warmup.
+            if self.cancelled():
+                raise _WorkerDied("run cancelled while the worker was spawning")
+            # Warm the fresh worker with a ping so its startup cost
             # (interpreter + imports) is paid here, not inside the first
-            # real unit's timeout window.
-            worker.request({"kind": "probe"}, WARMUP_TIMEOUT_S)
+            # real unit's timeout window. A worker that never answers is a
+            # failed spawn, reported to the slot's breaker by the caller.
+            try:
+                worker.ping(WARMUP_TIMEOUT_S)
+            except TimeoutError:
+                raise _WorkerDied(
+                    f"worker did not start within {WARMUP_TIMEOUT_S:g}s"
+                ) from None
         return worker
 
     def _retire(self, holder: Dict[str, Any]) -> None:

@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CapstanError
+from ..workloads.store import use_dataset_store
 from . import faults, registry
 from .health import PERMANENT
 from .cache import (
@@ -214,7 +215,12 @@ def deserialize_result(kind: str, data: Any) -> Any:
 
 
 def _execute_profile(payload: Dict[str, Any]) -> Any:
-    """Run one (app, dataset) cell, served from / stored to the profile cache."""
+    """Run one (app, dataset) cell, served from / stored to the profile cache.
+
+    With the cache on, the application also loads and stores its datasets
+    through the cache's dataset tier (:meth:`ProfileCache.datasets`), so a
+    dataset is generated once per cache, not once per worker process.
+    """
     app = payload["app"]
     dataset = payload["dataset"]
     context = context_from_dict(payload.get("context"))
@@ -228,7 +234,8 @@ def _execute_profile(payload: Dict[str, Any]) -> Any:
         hit = cache.load(key)
         if hit is not None:
             return hit
-    profile = registry.execute(app, dataset, context)
+    with use_dataset_store(cache.datasets() if cache is not None else None):
+        profile = registry.execute(app, dataset, context)
     if cache is not None and key is not None:
         cache.store(key, profile)
     return profile

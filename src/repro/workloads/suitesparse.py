@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import WorkloadError
 from ..formats.coo import COOMatrix
+from .store import active_dataset_store
 from .synthetic import (
     banded_fem_matrix,
     circuit_matrix,
@@ -139,6 +140,11 @@ def load_dataset(
 ) -> GeneratedDataset:
     """Generate (and cache) the synthetic stand-in for a named dataset.
 
+    Datasets are memoized per process. When a
+    :class:`~repro.workloads.store.DatasetStore` is installed (see
+    :func:`~repro.workloads.store.use_dataset_store`), a process's first
+    request is served from it, and a generated dataset is stored there.
+
     Args:
         name: A key of :data:`TABLE6_DATASETS`.
         scale: Linear scale factor applied to the published row/column
@@ -166,8 +172,15 @@ def load_dataset(
     linear_ratio = rows / spec.rows
     nnz = max(rows, int(round(spec.nnz * linear_ratio)))
     nnz = min(nnz, rows * rows // 2)
-    generator = _GENERATORS[spec.structure]
-    matrix = generator(rows, nnz, seed)
+    store = active_dataset_store()
+    matrix = None
+    if store is not None:
+        store_key = store.key(name, scale, seed, min_dim)
+        matrix = store.load(store_key, (rows, rows))
+    if matrix is None:
+        matrix = _GENERATORS[spec.structure](rows, nnz, seed)
+        if store is not None:
+            store.store(store_key, matrix)
     generated = GeneratedDataset(spec=spec, matrix=matrix, scale=scale)
     _DATASET_CACHE[key] = generated
     return generated

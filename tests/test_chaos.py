@@ -13,11 +13,13 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.runtime.executors import LocalExecutor, SubprocessExecutor
+from repro.runtime.executors import subprocess as subprocess_executor
 from repro.runtime.executors.subprocess import _worker_env
 from repro.runtime.faults import Fault, FaultPlan, FaultyExecutor
 from repro.runtime.jobs import (
@@ -78,10 +80,45 @@ class TestWorkerFaults:
             [Fault(kind="hang", times=1)], state_dir=str(tmp_path / "faults")
         )
         executor = SubprocessExecutor(workers=1, timeout_s=1.0, retries=1, backoff_s=0.01)
+        started = time.perf_counter()
         with plan.installed():
             outcomes = executor.run_units([_probe(3)])
+        elapsed = time.perf_counter() - started
         assert outcomes[0].status == "ok"
         assert outcomes[0].attempts == 2
+        # The hang lands on the unit and is cut by its 1 s timeout: two
+        # spawns plus one timeout, far below the 120 s warmup cap a hang
+        # on the warmup would have waited out.
+        assert elapsed < 30.0, f"hang took {elapsed:.1f}s to cut"
+
+    def test_unit_faults_never_fire_on_warmup(self, tmp_path):
+        # The warmup ping bypasses execute_unit, so a unit-index-0 error
+        # fault lands on the first real unit, not on the handshake.
+        plan = FaultPlan(
+            [Fault(kind="error", unit_index=0, times=1)],
+            state_dir=str(tmp_path / "faults"),
+        )
+        executor = SubprocessExecutor(workers=1)
+        with plan.installed():
+            outcomes = executor.run_units([_probe(1), _probe(2)])
+        assert [o.status for o in outcomes] == ["error", "ok"]
+        assert "FaultInjected" in outcomes[0].error
+
+    def test_warmup_timeout_is_a_failed_spawn(self, monkeypatch):
+        # A worker that never answers its warmup ping fails the spawn
+        # (the slot's breaker sees it) within the warmup cap, not the
+        # unit timeout, and never reports a unit timeout.
+        monkeypatch.setattr(subprocess_executor, "WARMUP_TIMEOUT_S", 0.5)
+        silent = [sys.executable, "-c", "import time; time.sleep(60)"]
+        executor = SubprocessExecutor(workers=1, command=silent, timeout_s=30.0)
+        started = time.perf_counter()
+        outcomes = executor.run_units([_probe(1)])
+        assert time.perf_counter() - started < 10.0
+        assert outcomes[0].status == "error"
+        assert "did not start" in outcomes[0].error
+        slot = executor.health_report()[0]
+        assert slot["launched"] == 1
+        assert slot["failures"] == 1
 
     def test_malformed_line_kills_worker_not_the_run(self, tmp_path):
         # A garbage protocol line must cost one attempt on a fresh worker,
@@ -112,20 +149,26 @@ class TestWorkerFaults:
 
 
 class TestExactlyOnce:
-    def test_byte_identical_cache_vs_fault_free_run(self, tmp_path):
+    def test_byte_identical_cache_vs_fault_free_run(self, tmp_path, monkeypatch):
         # The headline invariant: a sweep that crashed, retried, and
-        # resumed must leave exactly the bytes a clean serial run leaves.
+        # resumed must leave exactly the bytes a clean serial run leaves --
+        # profiles and the dataset tier alike.
         from repro.runtime.registry import RunContext
+        from repro.workloads import suitesparse
 
         context = RunContext(scale=1 / 512)
         clean_root = tmp_path / "cache-clean"
         faulty_root = tmp_path / "cache-faulty"
+        # Each run starts with an empty dataset memo, as a fresh process
+        # would, so both generate (and store) their datasets.
+        monkeypatch.setattr(suitesparse, "_DATASET_CACHE", {})
 
         with JobStore(tmp_path / "clean.sqlite") as store:
             spec = JobSpec.profile_grid(["spmv-csr"], context, cache_root=clean_root)
             job = store.submit(spec)
             assert store.run_job(job.id, LocalExecutor()).state == JOB_DONE
 
+        suitesparse._DATASET_CACHE.clear()
         plan = FaultPlan([Fault(kind="error", times=2)], seed=11)
         executor = FaultyExecutor(LocalExecutor(retries=2, backoff_s=0.0), plan)
         with JobStore(tmp_path / "faulty.sqlite") as store:
@@ -133,9 +176,16 @@ class TestExactlyOnce:
             job = store.submit(spec)
             assert store.run_job(job.id, executor).state == JOB_DONE
 
-        clean = {path.name: path.read_bytes() for path in sorted(clean_root.iterdir())}
-        faulty = {path.name: path.read_bytes() for path in sorted(faulty_root.iterdir())}
-        assert clean and clean == faulty
+        def files(root):
+            return {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        clean = files(clean_root)
+        assert any(name.startswith("datasets/") for name in clean)
+        assert clean == files(faulty_root)
 
     def test_exit_mid_wave_loses_only_the_uncommitted_wave(self, tmp_path):
         # The driver dies after a wave executed but before it committed;

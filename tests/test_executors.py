@@ -263,7 +263,7 @@ class TestCancellationRaces:
         assert outcomes[0].attempts == 1  # the pre-cancel attempt stands
 
     def test_cancel_mid_subprocess_handshake(self):
-        # A worker command that never answers the warmup probe: cancel
+        # A worker command that never answers the warmup ping: cancel
         # must kill it and return promptly, not wait out the warmup cap.
         import sys as _sys
 
@@ -277,4 +277,32 @@ class TestCancellationRaces:
         elapsed = time.perf_counter() - started
         timer.cancel()
         assert elapsed < 30.0
+        assert {o.status for o in outcomes} == {OUTCOME_CANCELLED}
+
+    def test_cancel_during_worker_spawn(self, monkeypatch):
+        # cancel() lands while the worker is still being spawned (slow
+        # fork under load), so it finds no worker to kill: the spawn must
+        # still see the cancel instead of waiting out the warmup cap.
+        import sys as _sys
+
+        from repro.runtime.executors import subprocess as subprocess_module
+
+        monkeypatch.setattr(subprocess_module, "WARMUP_TIMEOUT_S", 20.0)
+        spawn = subprocess_module._Worker.__init__
+
+        def slow_spawn(worker, command):
+            time.sleep(1.0)
+            spawn(worker, command)
+
+        monkeypatch.setattr(subprocess_module._Worker, "__init__", slow_spawn)
+        executor = SubprocessExecutor(
+            workers=1, command=[_sys.executable, "-c", "import time; time.sleep(600)"]
+        )
+        timer = threading.Timer(0.3, executor.cancel)
+        timer.start()
+        started = time.perf_counter()
+        outcomes = executor.run_units([_probe(1), _probe(2)])
+        elapsed = time.perf_counter() - started
+        timer.cancel()
+        assert elapsed < 10.0
         assert {o.status for o in outcomes} == {OUTCOME_CANCELLED}

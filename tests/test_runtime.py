@@ -422,3 +422,54 @@ class TestSweep:
             sweep()
         with pytest.raises(ConfigurationError):
             sweep(memory=("hbm2e",))
+
+
+class TestImportHygiene:
+    """What a fresh ``repro-eval`` (and so every worker spawn) imports."""
+
+    SCRIPT = """
+import json, sys
+import repro.runtime.cli
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("repro.runtime."))
+import repro.runtime as runtime
+resolved = {name: type(getattr(runtime, name)).__name__ for name in runtime.__all__}
+sweep_is_function = runtime.sweep is sys.modules["repro.runtime.sweep"].sweep
+from repro.formats import CSRMatrix, from_scipy, to_scipy_csr
+matrix = CSRMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
+back = from_scipy(to_scipy_csr(matrix), "csr")
+print(json.dumps({
+    "before": before,
+    "resolved": resolved,
+    "sweep_is_function": sweep_is_function,
+    "roundtrip": back.to_dense().tolist() == matrix.to_dense().tolist(),
+}))
+"""
+
+    def test_cli_import_is_lean_and_exports_still_resolve(self):
+        import json
+        import subprocess
+        import sys
+
+        from repro.runtime.executors.subprocess import _worker_env
+
+        completed = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=_worker_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        report = json.loads(completed.stdout)
+        # Only the layers a worker needs: no scipy, no DSE/runner/run store.
+        assert report["before"] == [
+            "repro.runtime.cache",
+            "repro.runtime.cli",
+            "repro.runtime.registry",
+        ]
+        import repro.runtime as runtime
+
+        assert set(report["resolved"]) == set(runtime.__all__)
+        assert report["resolved"]["explore"] == "function"
+        assert report["resolved"]["RunStore"] == "type"
+        assert report["sweep_is_function"]
+        assert report["roundtrip"]
