@@ -38,7 +38,7 @@ wrappers (``SparseMemoryUnit(backend="array")``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -389,9 +389,13 @@ class _LockStepState:
     """All per-variant state of the lock-step scheduled simulation.
 
     Row ``j`` of every array describes one still-running variant; finished
-    variants are periodically compacted out so the tail of a heterogeneous
-    grid does not pay tensor work for variants that already completed.
-    ``orig`` maps rows back to positions in the caller's variant list.
+    variants are compacted out on the cycle they finish, so the tail of a
+    heterogeneous grid does not pay tensor work for variants that already
+    completed (a compaction costs far less than one padded cycle). The
+    padded extents -- banks ``B``, lanes ``W`` and queue depth ``D`` -- are
+    re-derived from the survivors on every compaction, so the per-cycle
+    tensors shrink with them. ``orig`` maps rows back to positions in the
+    caller's variant list.
     """
 
     def __init__(self, variants: Sequence[SpMUVariant], preps: Sequence[_PreparedTrace]):
@@ -424,17 +428,19 @@ class _LockStepState:
         self.executed = np.zeros(v_count, dtype=np.int64)
         self.stalls = np.zeros(v_count, dtype=np.int64)
         self.depth = np.array([v.config.queue_depth for v in variants], dtype=np.int64)
+        self.banks = np.array([v.config.banks for v in variants], dtype=np.int64)
+        self.width = np.array([p.width for p in preps], dtype=np.int64)
         self.ipl = np.array(
             [max(1, v.config.crossbar_inputs // v.lanes) for v in variants], dtype=np.int64
         )
         self.latency = np.array([max(1, v.pipeline_latency) for v in variants], dtype=np.int64)
         self.sep = np.array([v.allocator_kind == "separable" for v in variants], dtype=bool)
-        self.iters = np.array(
-            [v.config.allocator_iterations if v.allocator_kind == "separable" else 0
-             for v in variants],
-            dtype=np.int64,
+        self.max_it = max(
+            (v.config.allocator_iterations for v in variants if v.allocator_kind == "separable"),
+            default=0,
         )
-        self.max_it = int(self.iters.max()) if self.sep.any() else 0
+        #: Per-iteration separable age cutoffs; -1 (no bidder qualifies) past
+        #: a row's own iteration count and on every greedy row.
         self.cutoffs = np.full((v_count, max(self.max_it, 1)), -1, dtype=np.int64)
         for j, variant in enumerate(variants):
             if variant.allocator_kind != "separable":
@@ -467,13 +473,11 @@ class _LockStepState:
         self.entries_max = max(
             (variants[j].config.bloom_filter_entries for j in ao_idx), default=1
         )
-        self.counters = np.zeros((max(len(ao_idx), 1), self.entries_max + 1), dtype=np.int32)
+        self.counters = np.zeros((len(ao_idx), self.entries_max + 1), dtype=np.int32)
         #: Both Bloom slots per (AO variant, vector, lane), stacked on the
         #: last axis; padded (non-kept) entries alias the sentinel column.
-        self.s01 = np.full(
-            (max(len(ao_idx), 1), nv_pad, w_pad, 2), self.entries_max, dtype=np.int64
-        )
-        self.ao_dup = np.zeros((max(len(ao_idx), 1), nv_pad), dtype=np.int64)
+        self.s01 = np.full((len(ao_idx), nv_pad, w_pad, 2), self.entries_max, dtype=np.int64)
+        self.ao_dup = np.zeros((len(ao_idx), nv_pad), dtype=np.int64)
         for row, j in enumerate(ao_idx):
             prep = preps[j]
             entries = variants[j].config.bloom_filter_entries
@@ -491,23 +495,32 @@ class _LockStepState:
         for j in dropped:
             results_stats[self.orig[j]] = (int(self.executed[j]), int(self.stalls[j]))
         for name in (
-            "pend", "remaining", "qvec", "qn", "waiting", "nv", "total",
-            "executed", "stalls", "depth", "ipl", "latency", "sep", "iters", "cutoffs",
+            "remaining", "qn", "waiting", "nv", "total", "executed", "stalls",
+            "depth", "banks", "width", "ipl", "latency", "sep", "cutoffs",
             "max_cycles", "active", "orig", "ao_row",
         ):
             setattr(self, name, getattr(self, name)[keep])
+        # Live queue entries sit below each survivor's own depth and its
+        # banks / lanes below its own extents, so slicing the padding off
+        # loses nothing.
+        self.B = int(self.banks.max())
+        self.W = int(self.width.max())
+        self.D = int(self.depth.max())
+        self.pend = self.pend[keep, :, : max(self.W, 1)]
+        self.qvec = self.qvec[keep, : self.D]
         self.row_of = np.full(self.row_of.size, -1, dtype=np.int64)
         self.row_of[self.orig] = np.arange(keep.size)
         self.v2 = np.arange(keep.size)[:, None]
         self._derive_pass_tables()
 
     def _derive_pass_tables(self) -> None:
-        """Precompute static per-pass / per-iteration allocator tables.
+        """Precompute static per-pass allocator tables.
 
         A row that is inactive (or whose queue is empty) bids for nothing,
-        so pass 0 needs no runtime row mask at all: its separable cutoffs
-        and greedy row set are fixed at construction. Later input-speedup
-        passes still mask rows by their crossbar's ``issues_per_lane``.
+        so pass 0 needs no runtime row mask at all: its separable and
+        greedy row sets are fixed until the next compaction. Later
+        input-speedup passes still mask rows by their crossbar's
+        ``issues_per_lane``.
         """
         ipl_max = int(self.ipl.max()) if self.ipl.size else 1
         self.pass_eligible = [self.ipl > p for p in range(ipl_max)]
@@ -515,13 +528,8 @@ class _LockStepState:
         self.pass_has_greedy = [
             bool((~self.sep & (self.ipl > p)).any()) for p in range(ipl_max)
         ]
-        max_it = self.max_it
-        self.iter_eligible = [self.sep & (it < self.iters) for it in range(max_it)]
-        #: Pass-0 separable cutoff columns, fully precomputed (-1 disables).
-        self.iter_cut0 = [
-            np.where(self.iter_eligible[it], self.cutoffs[:, it], -1) for it in range(max_it)
-        ]
-        #: Pass-0 greedy row set, fully precomputed.
+        #: Pass-0 row sets of each allocator, fully precomputed.
+        self.sep_rows0 = np.nonzero(self.sep)[0]
         self.greedy_rows0 = np.nonzero(~self.sep)[0]
 
 
@@ -640,38 +648,46 @@ def _allocate_lockstep(
     Separable variants run their configured number of two-stage iterations
     with per-iteration age cutoffs; greedy variants scan lanes in order
     granting each lane its oldest pending bank that is still free. Both
-    operate on the ``(variant, lane, bank)`` min-age tensor: a pair is an
-    eligible allocator input iff its oldest bidder is younger than the
-    iteration's cutoff (separable) or exists at all (greedy).
+    operate on the ``(variant, lane, bank)`` min-age tensor, each gathered
+    to its own rows: a pair is an eligible allocator input iff its oldest
+    bidder is younger than the iteration's cutoff (separable) or exists at
+    all (greedy).
     """
-    v_rows, lanes_dim, _ = min_pos.shape
+    lanes_dim = min_pos.shape[1]
     grants: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     if has_sep:
-        lane_done = np.zeros((v_rows, lanes_dim), dtype=bool)
+        # Grants map back through ``rows`` (ascending), so each iteration's
+        # grants stay in ascending (row, bank) order.
+        if pass_index == 0:
+            rows = state.sep_rows0
+        else:
+            rows = np.nonzero(pass_row & state.sep)[0]
+        # When every row is separable and bidding (single-variant runs
+        # included), the full tensors are the sub-tensors: skip the copies.
+        subset = rows.size < min_pos.shape[0]
+        sub_min = min_pos[rows] if subset else min_pos
+        sub_taken = taken[rows] if subset else taken
+        cutoffs = state.cutoffs[rows] if subset else state.cutoffs
+        lane_done = np.zeros((rows.size, lanes_dim), dtype=bool)
         for it in range(state.max_it):
-            if pass_index == 0:
-                cut = state.iter_cut0[it]
-            else:
-                cut = np.where(
-                    pass_row & state.iter_eligible[it], state.cutoffs[:, it], -1
-                )
-            matrix = min_pos < cut[:, None, None]
-            matrix &= ~taken[:, None, :]
+            matrix = sub_min < cutoffs[:, it, None, None]
+            matrix &= ~sub_taken[:, None, :]
             if it:
                 matrix &= ~lane_done[:, :, None]
-            rows_any = matrix.any(axis=-1)
-            rvi, rli = np.nonzero(rows_any)
+            rvi, rli = np.nonzero(matrix.any(axis=-1))
             if not rvi.size:
                 continue
             choice = matrix[rvi, rli].argmax(axis=-1)
-            winner = np.full((v_rows, state.B), lanes_dim, dtype=np.int64)
+            winner = np.full((rows.size, state.B), lanes_dim, dtype=np.int64)
             np.minimum.at(winner, (rvi, choice), rli)
             gvi, gbi = np.nonzero(winner < lanes_dim)
             gli = winner[gvi, gbi]
             lane_done[gvi, gli] = True
-            taken[gvi, gbi] = True
-            grants.append((gvi, gli, gbi))
+            sub_taken[gvi, gbi] = True
+            grants.append((rows[gvi] if subset else gvi, gli, gbi))
+        if subset:
+            taken[rows] = sub_taken
 
     if has_greedy:
         # The reference greedy allocator walks lanes in order (lower lanes
@@ -855,8 +871,9 @@ def _simulate_scheduled_lockstep(
                 cycles_out[state.orig[finished]] = cycle
                 state.active &= ~finished
                 live = int(state.active.sum())
-                if live and live <= state.orig.size // 2 and state.orig.size > 4:
+                if live:
                     state.compact(cycles_out, stats_out)
+                    pos = np.arange(state.D)[None, :]
 
     for j in range(state.orig.size):
         stats_out[state.orig[j]] = (int(state.executed[j]), int(state.stalls[j]))
@@ -918,26 +935,58 @@ def _paired_inputs(variants: Iterable[SpMUVariant], traces: Iterable[object]):
         yield variant, trace
 
 
-def _variant_footprint(variant: SpMUVariant, prep: _PreparedTrace) -> int:
-    """Rough lock-step working-set bytes one variant contributes.
+@dataclass(frozen=True)
+class _ChunkExtents:
+    """Running byte charge of one :func:`simulate_variants` chunk.
 
-    The dominant tensors are the pending-bank matrix, the gathered queue
-    view, and the per-pass (lane, bank) min-age tensor; address-ordered
-    variants add the Bloom slot tensor. The estimate only needs to be
-    proportionate -- the budget planner divides it into the byte budget to
-    size chunks.
+    The lock-step state pads every queue-scheduled variant to the chunk-wide
+    maximum vectors, lanes, banks and queue depth, so scheduled rows are
+    charged at those running extents: the pending-bank matrix, the
+    gathered queue view, the per-pass ``(lane, bank)`` min-age tensor with
+    its allocator temporaries, and -- per address-ordered row -- the Bloom
+    slot tensor and counters. Closed-form (arbitrated / fully-ordered)
+    variants never enter the lock-step state and are charged one by one.
     """
-    nv = max(prep.n_vectors, 1)
-    w = max(prep.width, 1)
-    depth = variant.config.queue_depth
-    banks = variant.config.banks
-    footprint = nv * w * 2 + nv * 4  # pend row + remaining
-    footprint += depth * w * 4  # gathered queue view + masks
-    footprint += w * banks * 6  # min-age tensor + allocator matrices
-    if variant.ordering is OrderingMode.ADDRESS_ORDERED:
-        footprint += nv * w * 16 + nv * 8  # Bloom slots + duplicate flags
-        footprint += variant.config.bloom_filter_entries * 4
-    return max(footprint, 1024)
+
+    rows: int = 0
+    ao_rows: int = 0
+    vectors: int = 1
+    width: int = 1
+    banks: int = 1
+    depth: int = 1
+    entries: int = 1
+    closed_bytes: int = 0
+
+    def grow(self, variant: SpMUVariant, prep: _PreparedTrace) -> "_ChunkExtents":
+        """These extents with one more variant in the chunk."""
+        nv = max(prep.n_vectors, 1)
+        w = max(prep.width, 1)
+        banks = variant.config.banks
+        if variant.ordering in (OrderingMode.ARBITRATED, OrderingMode.FULLY_ORDERED):
+            # Bank matrix plus per-(vector, bank) counts / seen flags.
+            closed = nv * w * 2 + nv * banks * 8
+            return replace(self, closed_bytes=self.closed_bytes + max(closed, 1024))
+        ao = variant.ordering is OrderingMode.ADDRESS_ORDERED
+        return replace(
+            self,
+            rows=self.rows + 1,
+            ao_rows=self.ao_rows + ao,
+            vectors=max(self.vectors, nv),
+            width=max(self.width, w),
+            banks=max(self.banks, banks),
+            depth=max(self.depth, variant.config.queue_depth),
+            entries=max(self.entries, variant.config.bloom_filter_entries if ao else 1),
+        )
+
+    @property
+    def nbytes(self) -> int:
+        nv, w, b, d = self.vectors, self.width, self.banks, self.depth
+        per_row = nv * w * 2 + nv * 4  # pending banks + remaining counts
+        per_row += d * (w * 3 + 24)  # gathered queue view, queue ids, masks
+        per_row += w * b * 9 + b * 9  # min-age tensor, allocator temporaries
+        per_ao_row = nv * w * 16 + nv * 8  # both Bloom slots + duplicate flags
+        per_ao_row += (self.entries + 1) * 4  # counters
+        return self.rows * per_row + self.ao_rows * per_ao_row + self.closed_bytes
 
 
 def _simulate_chunk(
@@ -955,10 +1004,11 @@ def _simulate_chunk(
             results[i] = _simulate_fully_ordered(variant, prep, record_trace, collect_issues)
         else:
             scheduled.append(i)
-    # Unordered and address-ordered variants share one lock-step loop: the
-    # per-cycle tensor work is dominated by fixed per-operation overhead,
-    # so batching every queue-scheduled variant into a single loop
-    # amortizes it best (finished variants are compacted out of the tail).
+    # Unordered and address-ordered variants share one lock-step loop,
+    # which amortizes numpy's per-operation overhead across the batch; the
+    # per-cycle work itself scales with live rows times padded extents, so
+    # finished variants are compacted out of the tail and the extents
+    # shrink with them.
     if scheduled:
         batch = _simulate_scheduled_lockstep(
             [chunk[i][0] for i in scheduled],
@@ -992,9 +1042,13 @@ def simulate_variants(
         collect_issues: Collect every request's ``(vector, lane)`` issue
             coordinates in issue order (needed for functional execution).
         memory_budget: Byte budget bounding the lock-step state; the
-            variant grid is streamed through in budget-sized chunks whose
-            results are bit-identical to one unchunked pass. ``None``
-            defers to ``REPRO_MEMORY_BUDGET``.
+            variant grid is streamed through in chunks whose state, padded
+            to each chunk's largest variant, fits the budget (a variant
+            over budget on its own still runs, alone). Statistics and
+            per-cycle traces are bit-identical to one unchunked pass, and
+            each cycle issues the same requests, though their order within
+            the cycle may follow the chunk's composition. ``None`` defers
+            to ``REPRO_MEMORY_BUDGET``.
         chunk_variants: Explicit chunk size in variants (overrides the
             cost model; mainly for the equivalence tests).
 
@@ -1009,7 +1063,7 @@ def simulate_variants(
     prep_cache: Dict[int, Tuple[object, _PreparedTrace]] = {}
     results: List[SimResult] = []
     chunk: List[Tuple[SpMUVariant, _PreparedTrace]] = []
-    chunk_bytes = 0
+    extents = _ChunkExtents()
     for variant, trace in _paired_inputs(variants, traces):
         cached = prep_cache.get(id(trace))
         if cached is None:
@@ -1017,16 +1071,16 @@ def simulate_variants(
             prep_cache[id(trace)] = cached
         prep = cached[1]
         _validate(variant, prep)
-        footprint = _variant_footprint(variant, prep)
+        grown = extents.grow(variant, prep)
         if chunk and (
             (chunk_variants is not None and len(chunk) >= chunk_variants)
-            or (budget is not None and chunk_bytes + footprint > budget)
+            or (budget is not None and grown.nbytes > budget)
         ):
             results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
             chunk = []
-            chunk_bytes = 0
+            grown = _ChunkExtents().grow(variant, prep)
         chunk.append((variant, prep))
-        chunk_bytes += footprint
+        extents = grown
     if chunk:
         results.extend(_simulate_chunk(chunk, record_trace, collect_issues))
     return results

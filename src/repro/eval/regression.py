@@ -63,7 +63,7 @@ DEFAULT_EXPECTATIONS: Dict[str, Any] = {
         "spmu": {
             "identical": True,
             "min": {"speedup": 6.0},
-            "compare": {"array_s": 2.0},
+            "compare": {"array_s": 2.0, "mixed_array_s": 2.0},
         },
         "formats": {
             "identical": True,

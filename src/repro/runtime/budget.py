@@ -80,7 +80,12 @@ def costing_chunk_platforms(n_profiles: int, memory_budget: Optional[int]) -> Op
 
 
 def variant_state_bytes(variant: SpMUVariant, prep: _PreparedTrace) -> int:
-    """Lock-step working-set estimate for one SpMU variant (cost model)."""
-    from ..core.spmu_array import _variant_footprint
+    """Lock-step working-set estimate for one SpMU variant simulated alone.
 
-    return _variant_footprint(variant, prep)
+    A chunk of several variants is charged at its padded extents instead
+    (see :func:`~repro.core.spmu_array.simulate_variants`), which is at
+    least the sum of its variants' own estimates.
+    """
+    from ..core.spmu_array import _ChunkExtents
+
+    return _ChunkExtents().grow(variant, prep).nbytes

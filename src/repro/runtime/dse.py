@@ -63,6 +63,42 @@ def prefill_throughputs(platforms: Iterable[CapstanPlatform]) -> int:
     return len(variants)
 
 
+#: Boolean cells one block of the dominance test may materialize, so the
+#: temporaries stay bounded whatever the number of points.
+_DOMINANCE_BLOCK_CELLS = 1 << 22
+
+
+def _dominated_by(points: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is true when ``by[j]`` dominates ``points[i]``.
+
+    All objectives are minimized: ``by[j]`` is no worse than ``points[i]``
+    in every objective and strictly better in at least one.
+    """
+    no_worse = np.ones((points.shape[0], by.shape[0]), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for k in range(points.shape[1]):
+        theirs, mine = by[:, k], points[:, k, None]
+        no_worse &= theirs <= mine
+        better |= theirs < mine
+    return no_worse & better
+
+
+def dominator_counts(points: np.ndarray, by: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row of ``points``, how many rows of ``by`` dominate it.
+
+    ``by`` defaults to ``points`` itself. The test runs in blocks of
+    ``points`` rows, so no temporary exceeds ``_DOMINANCE_BLOCK_CELLS``
+    cells whatever the number of points.
+    """
+    by = points if by is None else by
+    counts = np.empty(points.shape[0], dtype=np.int64)
+    step = max(1, _DOMINANCE_BLOCK_CELLS // max(by.shape[0], 1))
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
+        counts[start : start + step] = _dominated_by(block, by).sum(axis=1)
+    return counts
+
+
 def pareto_frontier(costs: np.ndarray) -> np.ndarray:
     """Indices of the non-dominated rows of a (points x objectives) matrix.
 
@@ -74,13 +110,7 @@ def pareto_frontier(costs: np.ndarray) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2:
         raise ConfigurationError("costs must be a 2-D (points x objectives) array")
-    points = costs.shape[0]
-    keep = np.ones(points, dtype=bool)
-    for i in range(points):
-        dominators = np.all(costs <= costs[i], axis=1) & np.any(costs < costs[i], axis=1)
-        if np.any(dominators):
-            keep[i] = False
-    return np.nonzero(keep)[0]
+    return np.nonzero(dominator_counts(costs) == 0)[0]
 
 
 @dataclass

@@ -49,7 +49,7 @@ from ..core.area import capstan_area
 from ..errors import ConfigurationError
 from ..sim.stats import geometric_mean
 from .cache import code_fingerprint
-from .dse import pareto_frontier
+from .dse import dominator_counts, pareto_frontier
 from .sweep import _apply_axis, axis_value_to_json, parse_axis_value
 
 #: Objectives the search can minimize, in canonical order.
@@ -248,16 +248,26 @@ def scalarize(
 
 
 def pareto_ranks(costs: np.ndarray) -> np.ndarray:
-    """Non-dominated sorting ranks (0 = Pareto frontier, peeled layers)."""
+    """Non-dominated sorting ranks (0 = Pareto frontier, peeled layers).
+
+    One pass counts every point's dominators; each layer is then the set of
+    remaining points with no remaining dominator, and removing it subtracts
+    its dominance from the counts -- the same layers as repeatedly peeling
+    :func:`~repro.runtime.dse.pareto_frontier`, with each pair compared at
+    most twice and every temporary bounded by the dominance block size.
+    """
     costs = np.asarray(costs, dtype=np.float64)
-    n = costs.shape[0]
-    ranks = np.zeros(n, dtype=np.int64)
-    remaining = np.arange(n)
+    counts = dominator_counts(costs)
+    ranks = np.zeros(costs.shape[0], dtype=np.int64)
+    front = np.nonzero(counts == 0)[0]
     layer = 0
-    while remaining.size:
-        front = pareto_frontier(costs[remaining])
-        ranks[remaining[front]] = layer
-        remaining = np.delete(remaining, front)
+    while front.size:
+        ranks[front] = layer
+        # A layer's own members are never dominated by it or by a later
+        # layer, so -1 keeps them out of every later front.
+        counts[front] = -1
+        counts -= dominator_counts(costs, costs[front])
+        front = np.nonzero(counts == 0)[0]
         layer += 1
     return ranks
 

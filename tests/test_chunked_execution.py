@@ -33,9 +33,10 @@ from repro.core.format_conversion import FormatConverter
 from repro.core.ordering import OrderingMode
 from repro.core.scanner import BitVectorScanner, ScanMode
 from repro.core.spmu import RequestTrace, SpMUVariant, random_request_vectors
-from repro.core.spmu_array import simulate_variants
+from repro.core.spmu_array import _LockStepState, prepare_trace, simulate_variants
 from repro.errors import ConfigurationError, SimulationError
 from repro.formats.bitvector import BitVector
+from repro.runtime.budget import variant_state_bytes
 from repro.runtime.dse import explore
 from repro.runtime.sweep import sweep
 
@@ -238,6 +239,12 @@ class TestChunkedSpMU:
             for r in results
         ]
 
+    @staticmethod
+    def _issues_per_cycle(result):
+        issues = list(zip(result.issue_vectors.tolist(), result.issue_lanes.tolist()))
+        ends = np.cumsum(result.per_cycle_active_banks).tolist()
+        return [sorted(issues[start:end]) for start, end in zip([0] + ends, ends)]
+
     def test_chunk_sizes_are_identical(self):
         variants, traces = self._grid()
         full = self._stats(simulate_variants(variants, traces))
@@ -249,6 +256,44 @@ class TestChunkedSpMU:
         variants, traces = self._grid()
         full = self._stats(simulate_variants(variants, traces))
         assert self._stats(simulate_variants(variants, traces, memory_budget=2048)) == full
+
+    def test_budget_bounds_padded_mixed_shape_state(self, mixed_shape_batch, monkeypatch):
+        # The lock-step state pads every row to its chunk's largest banks,
+        # lanes, depth and vectors, so the budget must bound the padded
+        # state -- not the sum of the variants' own footprints. The budget
+        # admits the costliest variant alone and forces the rest to split.
+        variants, traces = mixed_shape_batch
+        budget = max(
+            variant_state_bytes(v, prepare_trace(t)) for v, t in zip(variants, traces)
+        )
+        chunks = []
+        init = _LockStepState.__init__
+
+        def spy(state, variants, preps):
+            init(state, variants, preps)
+            arrays = sum(a.nbytes for a in vars(state).values() if isinstance(a, np.ndarray))
+            # Plus the per-cycle gathered queue view and (lane, bank)
+            # min-age tensor, both padded like the state.
+            rows = len(variants)
+            per_cycle = rows * state.D * state.W * 2 + rows * state.W * state.B * 4
+            chunks.append((rows, arrays + per_cycle))
+
+        monkeypatch.setattr(_LockStepState, "__init__", spy)
+        chunked = simulate_variants(
+            variants, traces, record_trace=True, collect_issues=True, memory_budget=budget
+        )
+        monkeypatch.undo()
+        assert len(chunks) > 1
+        assert sum(rows for rows, _ in chunks) == len(variants)
+        assert all(nbytes <= budget for rows, nbytes in chunks if rows > 1)
+
+        full = simulate_variants(variants, traces, record_trace=True, collect_issues=True)
+        assert self._stats(chunked) == self._stats(full)
+        for part, whole in zip(chunked, full):
+            assert np.array_equal(part.per_cycle_active_banks, whole.per_cycle_active_banks)
+            # Same-cycle requests hit distinct banks; which requests issue
+            # each cycle is the contract, not their order within it.
+            assert self._issues_per_cycle(part) == self._issues_per_cycle(whole)
 
     def test_accepts_generators(self):
         variants, traces = self._grid()

@@ -6,12 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.profile import WorkloadProfile
 from repro.config import SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
 from repro.errors import ConfigurationError
+from repro.runtime import dse as dse_module
 from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
@@ -179,6 +183,32 @@ class TestParetoFrontier:
     def test_rejects_non_2d(self):
         with pytest.raises(ConfigurationError):
             pareto_frontier(np.array([1.0, 2.0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        costs=st.integers(1, 3).flatmap(
+            lambda k: arrays(
+                np.float64,
+                st.tuples(st.integers(0, 40), st.just(k)),
+                elements=st.integers(0, 4).map(float),
+            )
+        ),
+        block_cells=st.sampled_from([1, 16, 200, 1 << 22]),
+    )
+    def test_matches_brute_force_dominance(self, costs, block_cells):
+        # Small integer costs force duplicate rows and per-objective ties;
+        # tiny blocks make the vectorised test cross block boundaries.
+        expected = [
+            i
+            for i in range(costs.shape[0])
+            if not any(
+                np.all(costs[j] <= costs[i]) and np.any(costs[j] < costs[i])
+                for j in range(costs.shape[0])
+            )
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dse_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
+            assert pareto_frontier(costs).tolist() == expected
 
 
 class TestExplore:

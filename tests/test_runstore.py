@@ -290,6 +290,7 @@ class TestComparison:
             "compare:cold_serial_s",
             "compare:batch_s",
             "compare:array_s",
+            "compare:mixed_array_s",
             "compare:chunked_s",
             "compare:search_s",
         }

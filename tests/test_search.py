@@ -22,9 +22,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.profile import WorkloadProfile
 from repro.errors import ConfigurationError
+from repro.runtime import dse as dse_module
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore
 from repro.runtime.executors import LocalExecutor
@@ -155,6 +159,40 @@ class TestRanking:
     def test_pareto_ranks_peel_layers(self):
         costs = np.array([[1.0, 5.0], [2.0, 2.0], [5.0, 1.0], [3.0, 3.0], [6.0, 6.0]])
         assert list(pareto_ranks(costs)) == [0, 0, 0, 1, 2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        costs=st.integers(1, 3).flatmap(
+            lambda k: arrays(
+                np.float64,
+                st.tuples(st.integers(0, 40), st.just(k)),
+                elements=st.integers(0, 4).map(float),
+            )
+        ),
+        block_cells=st.sampled_from([1, 16, 200, 1 << 22]),
+    )
+    def test_pareto_ranks_match_peeling_frontiers(self, costs, block_cells):
+        # The definition: layer r is the Pareto frontier of what layers
+        # 0..r-1 left behind. Small integer costs force duplicates and ties;
+        # tiny blocks make the dominance test cross block boundaries.
+        expected = np.zeros(costs.shape[0], dtype=np.int64)
+        remaining = list(range(costs.shape[0]))
+        layer = 0
+        while remaining:
+            front = [
+                i
+                for i in remaining
+                if not any(
+                    np.all(costs[j] <= costs[i]) and np.any(costs[j] < costs[i])
+                    for j in remaining
+                )
+            ]
+            expected[front] = layer
+            remaining = [i for i in remaining if i not in front]
+            layer += 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dse_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
+            assert pareto_ranks(costs).tolist() == expected.tolist()
 
     def test_rank_order_prefers_frontier_then_scalar(self):
         costs = np.array([[3.0, 3.0], [1.0, 1.0], [10.0, 10.0]])
