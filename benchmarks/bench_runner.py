@@ -610,7 +610,7 @@ def _bench_dse(profiles, workers, executor) -> dict:
 
         # The energy batch the search consumes must match the per-call
         # reference exactly (spot check over a corner of the grid).
-        spot_platforms = list(exhaustive.variants.values())[:16]
+        spot_platforms = [exhaustive.space.platform(c) for c in exhaustive.combos[:16]]
         spot_profiles = profiles[:4]
         batch = estimate_cycles_batch(spot_profiles, spot_platforms, energy=True)
         energy_identical = all(

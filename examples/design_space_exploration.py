@@ -4,9 +4,9 @@ The paper's architectural choices -- 16 lanes, 16 banks, a 16-entry reorder
 queue, address hashing, the Mrg-1 shuffle network -- each come from a
 sensitivity study around one fixed design point. This example opens the
 configuration space instead: :func:`repro.runtime.dse.explore` sweeps
-structural axes, costs every workload profile under every variant in one
-vectorized :func:`~repro.apps.timing.estimate_cycles_batch` call, and
-extracts the cycles-vs-area Pareto frontier.
+structural axes, costs every workload profile under every variant through
+the batched costing engine (one exhaustive generation of the adaptive
+search engine), and extracts the cycles-vs-area Pareto frontier.
 
 Profiles are collected once (cached on disk) and SpMU microbenchmark
 throughputs persist in the content-addressed throughput store, so re-runs

@@ -21,9 +21,10 @@ the unchunked pass:
 * :meth:`~repro.core.scanner.Scanner.scan_batch` chunks dense-position
   ranges -- chunk outputs are position-disjoint and ordered, so
   concatenation is exact.
-* :func:`~repro.runtime.dse.explore` streams the (profile x platform)
-  cross-product, folding each chunk into the running geometric-mean /
-  Pareto state instead of materializing the grid.
+* :class:`~repro.runtime.search.AdaptiveSearch` (and so
+  :func:`~repro.runtime.dse.explore`) streams the (profile x platform)
+  cross-product, folding each chunk into per-variant geometric means
+  instead of materializing the grid.
 
 The low-level primitives (:func:`parse_memory_budget`,
 :func:`resolve_memory_budget`, :class:`ChunkPlan`, :func:`plan_chunks`,

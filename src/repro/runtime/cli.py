@@ -486,18 +486,15 @@ def _dse_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.top > 0 and not args.pareto_only:
-        rows = result.top_rows(args.top)
-    else:
-        rows = sorted(result.rows(), key=lambda row: row["gmean_cycles"])
-        if args.pareto_only:
-            rows = [row for row in rows if row["pareto"]]
-        if args.top > 0:
-            rows = rows[: args.top]
+    rows = sorted(result.rows(), key=lambda row: row["gmean_cycles"])
+    if args.pareto_only:
+        rows = [row for row in rows if row["pareto"]]
+    if args.top > 0:
+        rows = rows[: args.top]
 
     axis_summary = ", ".join(f"{axis}={len(values)}" for axis, values in axes.items())
     print(
-        f"DSE: {len(result.variants)} variants ({axis_summary}) x "
+        f"DSE: {len(result.names)} variants ({axis_summary}) x "
         f"{len(result.tasks)} profiles (scale={args.scale:g})"
     )
     name_width = max(len(row["name"]) for row in rows) if rows else 4
@@ -528,8 +525,6 @@ def _dse_main(argv: List[str]) -> int:
         }
         if args.seed is not None:
             payload["seed"] = args.seed
-        if result.batch is not None:
-            payload["cycles"] = [[float(c) for c in row] for row in result.cycles]
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.json}")
@@ -1038,6 +1033,7 @@ def _sweep_main(argv: List[str]) -> int:
                         axes,
                         apps=apps,
                         context=context,
+                        cache_root=args.cache_dir,
                         name=args.name or "dse-grid",
                     )
                 else:

@@ -35,9 +35,10 @@ Unit kinds are pluggable via :func:`register_unit_kind`; the built-in
 kinds are ``profile`` (one registry cell, served from / stored to the
 content-addressed profile cache), ``throughput`` (one SpMU calibration
 microbenchmark, persisted in the throughput store), ``dse_chunk`` (a
-budget-planned slice of a sweep cross-product costed to gmean cycles and
-area), ``table`` (one paper-table harness), and ``probe`` (a synthetic
-unit used by the executor conformance tests and smoke sweeps).
+budget-planned slice of a DSE grid costed to gmean cycles and area),
+``dse_search`` (one generation of an adaptive search), ``table`` (one
+paper-table harness), and ``probe`` (a synthetic unit used by the
+executor conformance tests and smoke sweeps).
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .cache import (
 )
 from .registry import RunContext
 from .runstore import RunStore, _utc_now
-from .sweep import axis_value_to_json, parse_axis_value
 
 #: Work-unit states persisted in the ``work_units`` table. ``dead`` is the
 #: dead-letter state: the unit exhausted ``max_attempts`` (or failed
@@ -259,42 +259,48 @@ def _execute_throughput(payload: Dict[str, Any]) -> float:
     )
 
 
-def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Cost one contiguous slice of a sweep cross-product.
+def _unit_profiles(payload: Dict[str, Any]) -> List[Any]:
+    """The profiles a DSE unit costs, through the cached runner.
 
-    Profiles come through the cached :class:`ExperimentRunner` (serial --
-    the parallelism axis of a DSE job is its units, not a nested pool), so
-    every chunk of the same job reuses the same cached profile set.
+    Serial -- the parallelism axis of a DSE job is its units, not a nested
+    pool -- and rooted at the payload's ``cache_root`` when it has one, so
+    every unit of a job reuses the same cached profile set.
     """
-    from ..apps.timing import estimate_cycles_batch
-    from ..core.area import capstan_area
-    from ..sim.stats import geometric_mean
     from .runner import ExperimentRunner
-    from .sweep import sweep
 
-    axes = {
-        axis: [parse_axis_value(axis, value) for value in values]
-        for axis, values in payload["axes"].items()
-    }
-    variants = sweep(**axes)
-    names = list(variants)
-    chunk_names = names[payload["start"] : payload["stop"]]
-    platforms = [variants[name] for name in chunk_names]
-    for platform in platforms:
-        platform.config.validate()
-    context = context_from_dict(payload.get("context"))
-    runner = ExperimentRunner(context=context, workers=1, cache=payload.get("cache", True))
+    root = payload.get("cache_root")
+    runner = ExperimentRunner(
+        context=context_from_dict(payload.get("context")),
+        workers=1,
+        cache=ProfileCache(root=Path(root)) if root and cache_enabled() else True,
+    )
     report = runner.run(apps=payload.get("apps"))
-    profiles = [r.profile for r in report.results if r.profile is not None]
-    batch = estimate_cycles_batch(profiles, platforms)
-    gmeans = [
-        geometric_mean([float(c) for c in batch.cycles[:, j]])
-        for j in range(len(platforms))
-    ]
+    return [r.profile for r in report.results if r.profile is not None]
+
+
+def _execute_dse_chunk(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Cost one contiguous slice of a DSE grid's cartesian order.
+
+    The slice is a :class:`~repro.runtime.search.Grid` generation over the
+    payload's space, so a chunk runs the same costing fold as
+    :func:`~repro.runtime.dse.explore` and never expands the rest of the
+    grid.
+    """
+    from .search import AdaptiveSearch, Grid, SearchSpace
+
+    space = SearchSpace.from_axes(dict(payload["axes"]))
+    engine = AdaptiveSearch(
+        space,
+        Grid(start=int(payload["start"]), stop=int(payload["stop"])),
+        _unit_profiles(payload),
+        objectives=("cycles", "area"),
+    )
+    engine.step()
+    combos, costs = engine.archive()
     return {
-        "names": list(chunk_names),
-        "gmean_cycles": [float(g) for g in gmeans],
-        "area_mm2": [float(capstan_area(p.config).total_mm2) for p in platforms],
+        "names": [space.variant_name(combo) for combo in combos],
+        "gmean_cycles": costs[:, 0].tolist(),
+        "area_mm2": costs[:, 1].tolist(),
     }
 
 
@@ -312,16 +318,12 @@ def _execute_dse_search(payload: Dict[str, Any]) -> Dict[str, Any]:
     predecessors steps the engine through every missing generation itself,
     which stays correct but duplicates work across workers.
     """
-    from .runner import ExperimentRunner
     from .search import AdaptiveSearch, SearchSpace, SearchStore, make_strategy
 
     target = int(payload["generation"]) + 1
-    space = SearchSpace.from_axes({axis: values for axis, values in payload["axes"]})
+    space = SearchSpace.from_axes(dict(payload["axes"]))
     strategy = make_strategy(payload["strategy"], **payload.get("params", {}))
-    context = context_from_dict(payload.get("context"))
-    runner = ExperimentRunner(context=context, workers=1, cache=payload.get("cache", True))
-    report = runner.run(apps=payload.get("apps"))
-    profiles = [r.profile for r in report.results if r.profile is not None]
+    profiles = _unit_profiles(payload)
     store_root = payload.get("store_root")
     store = SearchStore(Path(store_root)) if store_root else SearchStore()
     engine = AdaptiveSearch(
@@ -514,43 +516,38 @@ class JobSpec:
         context: Optional[RunContext] = None,
         memory_budget: Optional[int] = None,
         max_chunk: int = DEFAULT_DSE_CHUNK,
+        cache_root: Optional[Union[str, Path]] = None,
         name: str = "dse-grid",
     ) -> "JobSpec":
         """Shard a sweep cross-product into budget-planned variant chunks.
 
-        The chunk size comes from the PR 6 budget planner: one chunk's
+        The chunk size comes from the budget planner: one chunk's
         (profile x variant) costing working set fits ``memory_budget``
         (``REPRO_MEMORY_BUDGET`` honored), capped at ``max_chunk`` variants
         so even unbudgeted jobs stay resumable at useful granularity.
+        ``cache_root`` overrides where the units read and write profiles.
         """
         from .._budget import plan_chunks, resolve_memory_budget
         from ..apps.timing import COSTING_BYTES_PER_CELL
-        from .sweep import sweep
+        from .search import SearchSpace
 
-        parsed = {
-            axis: [parse_axis_value(axis, value) for value in values]
-            for axis, values in axes.items()
-        }
-        variants = sweep(**parsed)
-        for platform in variants.values():
-            platform.config.validate()
-        context = context or RunContext()
+        space = SearchSpace.from_axes(axes)
+        space.validate()
         app_names = list(apps) if apps is not None else list(registry.app_order())
         cells = sum(len(registry.get_spec(app).datasets) for app in app_names)
         plan = plan_chunks(
-            len(variants),
+            space.size,
             cells * COSTING_BYTES_PER_CELL,
             resolve_memory_budget(memory_budget),
             max_items=max_chunk,
         )
-        axes_json = {
-            axis: [axis_value_to_json(value) for value in values]
-            for axis, values in parsed.items()
-        }
-        context_dict = context_to_dict(context)
+        # A list of pairs: the payload is persisted with sorted keys, and
+        # axis order shapes the grid (chunk slices, variant names).
+        axes_json = [[axis, values] for axis, values in space.to_json().items()]
+        context_dict = context_to_dict(context or RunContext())
         units: List[WorkUnit] = []
         for start, stop in plan.bounds():
-            payload = {
+            payload: Dict[str, Any] = {
                 "kind": "dse_chunk",
                 "axes": axes_json,
                 "start": int(start),
@@ -558,8 +555,9 @@ class JobSpec:
                 "apps": None if apps is None else list(apps),
                 "context": context_dict,
             }
-            key = _unit_key(payload)
-            units.append(WorkUnit(key=key, kind="dse_chunk", payload=payload))
+            if cache_root:
+                payload["cache_root"] = str(cache_root)
+            units.append(WorkUnit(key=_unit_key(payload), kind="dse_chunk", payload=payload))
         if not units:
             raise JobError("DSE grid resolved to zero units")
         return JobSpec(name=name, units=tuple(units))
@@ -576,6 +574,7 @@ class JobSpec:
         context: Optional[RunContext] = None,
         memory_budget: Optional[int] = None,
         store_root: Optional[Union[str, Path]] = None,
+        cache_root: Optional[Union[str, Path]] = None,
         name: str = "dse-search",
     ) -> "JobSpec":
         """Shard an adaptive search into one resumable unit per generation.
@@ -588,18 +587,14 @@ class JobSpec:
         Generations depend on each other serially -- run the job with one
         worker.
         """
-        from .search import DEFAULT_SEARCH_AXES, make_strategy
+        from .search import DEFAULT_SEARCH_AXES, SearchSpace, make_strategy
 
-        if axes is None:
-            axes = {axis: list(values) for axis, values in DEFAULT_SEARCH_AXES.items()}
+        space = SearchSpace.from_axes(DEFAULT_SEARCH_AXES if axes is None else axes)
         params = dict(params or {})
         built = make_strategy(strategy, **params)
         # A list of pairs: the payload is persisted with sorted keys, and
         # axis order shapes the space (gene order, variant names).
-        axes_json = [
-            [axis, [axis_value_to_json(parse_axis_value(axis, value)) for value in values]]
-            for axis, values in axes.items()
-        ]
+        axes_json = [[axis, values] for axis, values in space.to_json().items()]
         context_dict = context_to_dict(context or RunContext())
         units: List[WorkUnit] = []
         for generation in range(built.total_generations()):
@@ -618,6 +613,8 @@ class JobSpec:
                 payload["memory_budget"] = int(memory_budget)
             if store_root:
                 payload["store_root"] = str(store_root)
+            if cache_root:
+                payload["cache_root"] = str(cache_root)
             units.append(WorkUnit(key=_unit_key(payload), kind="dse_search", payload=payload))
         return JobSpec(name=name, units=tuple(units))
 

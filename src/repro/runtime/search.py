@@ -2,8 +2,9 @@
 
 :func:`~repro.runtime.dse.explore` enumerates a configuration grid
 exhaustively, which caps practical sweeps at 10^3-10^4 variants even with
-the batched costing engines. This module searches instead of enumerating:
-an :class:`AdaptiveSearch` proposes whole variant *batches* per
+the batched costing engines. This module searches instead of enumerating
+(and enumerates too -- ``explore`` is one :class:`Grid` generation of the
+same engine): an :class:`AdaptiveSearch` proposes whole variant *batches* per
 generation and evaluates them through the existing fast substrate --
 :func:`~repro.apps.timing.estimate_cycles_batch` for costing (with the
 energy model attached), ``effective_bank_throughput_batch`` plus the
@@ -12,14 +13,17 @@ and the memory-budget planner so generations stream flat-memory -- and
 drives the proposals from multi-objective costs over (cycles gmean, area,
 energy gmean).
 
-Two strategies ship behind one :class:`SearchStrategy` protocol:
+Three strategies ship behind one :class:`SearchStrategy` protocol:
 
 * :class:`SuccessiveHalving` -- evaluate a wide rung on a cheap profile
   subset, promote the Pareto-best survivors to progressively fuller
   costing, finishing on the full profile set;
 * :class:`Evolutionary` -- a seeded population (default design point plus
   axis extremes) evolved by tournament selection, uniform crossover, and
-  per-axis mutation, always at full fidelity.
+  per-axis mutation, always at full fidelity;
+* :class:`Grid` -- exhaustive enumeration in one full-fidelity generation,
+  the engine behind :func:`~repro.runtime.dse.explore` and the job
+  layer's ``dse_chunk`` units (not a ``make_strategy`` choice).
 
 Every generation is committed to a :class:`SearchStore` (JSON state files
 keyed by the search's content hash), so a killed search -- whether driven
@@ -49,7 +53,6 @@ from ..core.area import capstan_area
 from ..errors import ConfigurationError
 from ..sim.stats import geometric_mean
 from .cache import code_fingerprint
-from .dse import dominator_counts, pareto_frontier
 from .sweep import _apply_axis, axis_value_to_json, parse_axis_value
 
 #: Objectives the search can minimize, in canonical order.
@@ -139,6 +142,18 @@ class SearchSpace:
         platform.config.validate()
         return platform
 
+    def validate(self, base: Optional[CapstanPlatform] = None) -> None:
+        """Raise :class:`ConfigurationError` if any design point is invalid.
+
+        Every ``CapstanConfig.validate`` constraint concerns a single field,
+        so applying each candidate value alone to ``base`` checks the whole
+        cartesian space without materializing it.
+        """
+        platform = base if base is not None else CapstanPlatform()
+        for axis, values in self.axes:
+            for value in values:
+                _apply_axis(platform, axis, value).config.validate()
+
     def random_combo(self, rng: np.random.Generator) -> Combo:
         """A uniformly random design point."""
         return tuple(int(rng.integers(len(values))) for _, values in self.axes)
@@ -219,6 +234,56 @@ class SearchSpace:
 # --------------------------------------------------------------------------- #
 
 
+#: Boolean cells one block of the dominance test may materialize, so the
+#: temporaries stay bounded whatever the number of points.
+_DOMINANCE_BLOCK_CELLS = 1 << 22
+
+
+def _dominated_by(points: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is true when ``by[j]`` dominates ``points[i]``.
+
+    All objectives are minimized: ``by[j]`` is no worse than ``points[i]``
+    in every objective and strictly better in at least one.
+    """
+    no_worse = np.ones((points.shape[0], by.shape[0]), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for k in range(points.shape[1]):
+        theirs, mine = by[:, k], points[:, k, None]
+        no_worse &= theirs <= mine
+        better |= theirs < mine
+    return no_worse & better
+
+
+def dominator_counts(points: np.ndarray, by: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row of ``points``, how many rows of ``by`` dominate it.
+
+    ``by`` defaults to ``points`` itself. The test runs in blocks of
+    ``points`` rows, so no temporary exceeds ``_DOMINANCE_BLOCK_CELLS``
+    cells whatever the number of points.
+    """
+    by = points if by is None else by
+    counts = np.empty(points.shape[0], dtype=np.int64)
+    step = max(1, _DOMINANCE_BLOCK_CELLS // max(by.shape[0], 1))
+    for start in range(0, points.shape[0], step):
+        block = points[start : start + step]
+        counts[start : start + step] = _dominated_by(block, by).sum(axis=1)
+    return counts
+
+
+def pareto_frontier(costs: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated rows of a (points x objectives) matrix.
+
+    All objectives are minimized. A point is dominated when some other
+    point is no worse in every objective and strictly better in at least
+    one; ties (duplicated points) are all kept. Indices come back in input
+    order.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2:
+        raise ConfigurationError("costs must be a 2-D (points x objectives) array")
+    return np.nonzero(dominator_counts(costs) == 0)[0]
+
+
 def scalarize(
     costs: np.ndarray, weights: Optional[Sequence[float]] = None
 ) -> np.ndarray:
@@ -253,7 +318,7 @@ def pareto_ranks(costs: np.ndarray) -> np.ndarray:
     One pass counts every point's dominators; each layer is then the set of
     remaining points with no remaining dominator, and removing it subtracts
     its dominance from the counts -- the same layers as repeatedly peeling
-    :func:`~repro.runtime.dse.pareto_frontier`, with each pair compared at
+    :func:`pareto_frontier`, with each pair compared at
     most twice and every temporary bounded by the dominance block size.
     """
     costs = np.asarray(costs, dtype=np.float64)
@@ -530,6 +595,35 @@ class Evolutionary(SearchStrategy):
                 combos.append(child)
         _fill_random(engine.space, rng, target, taken, combos)
         return Generation(combos=tuple(combos), fidelity=1.0)
+
+
+class Grid(SearchStrategy):
+    """Exhaustive enumeration as one full-fidelity generation.
+
+    Proposes every point of the space in cartesian order (first axis
+    outermost, as :func:`~repro.runtime.sweep.sweep` orders variants) or,
+    with ``shuffle``, in the order of one ``rng.permutation`` draw from the
+    engine's RNG. ``start`` / ``stop`` restrict the proposal to a slice of
+    that order, which is how a DSE job unit costs its chunk of the grid.
+    """
+
+    name = "grid"
+
+    def __init__(self, shuffle: bool = False, start: int = 0, stop: Optional[int] = None) -> None:
+        self.shuffle = shuffle
+        self.start = start
+        self.stop = stop
+
+    def total_generations(self) -> int:
+        return 1
+
+    def propose(
+        self, generation: int, rng: np.random.Generator, engine: "AdaptiveSearch"
+    ) -> Generation:
+        shape = [len(values) for _, values in engine.space.axes]
+        order = rng.permutation(engine.space.size) if self.shuffle else np.arange(engine.space.size)
+        genes = np.unravel_index(order[self.start : self.stop], shape)
+        return Generation(combos=tuple(zip(*(g.tolist() for g in genes))), fidelity=1.0)
 
 
 def make_strategy(
@@ -926,41 +1020,24 @@ class AdaptiveSearch:
             indices = self._subset_indices(fraction)
             subset = [self.profiles[i] for i in indices]
             platforms = [self.space.platform(c, self.base) for c in fresh]
-            need_energy = "energy" in self.objectives
-            need_cycles = need_energy or "cycles" in self.objectives
-            cycle_gmeans: List[float] = []
-            energy_gmeans: List[float] = []
-            if need_cycles:
+            # Per-variant gmeans fold in chunk by chunk: each chunk carries
+            # complete profile columns, so the floats equal an unchunked pass.
+            need = set(self.objectives)
+            columns: Dict[str, List[float]] = {"cycles": [], "energy": []}
+            if need & {"cycles", "energy"}:
                 for _chunk, batch in iter_cycles_batches(
-                    subset,
-                    platforms,
-                    memory_budget=self.memory_budget,
-                    energy=need_energy,
+                    subset, platforms, memory_budget=self.memory_budget, energy="energy" in need
                 ):
-                    for j in range(batch.cycles.shape[1]):
-                        cycle_gmeans.append(
-                            geometric_mean([float(c) for c in batch.cycles[:, j]])
-                        )
-                        if need_energy:
-                            energy_gmeans.append(
-                                geometric_mean(
-                                    [float(e) for e in batch.energy_mj[:, j]]
-                                )
-                            )
+                    columns["cycles"] += [geometric_mean(c.tolist()) for c in batch.cycles.T]
+                    if "energy" in need:
+                        columns["energy"] += [geometric_mean(e.tolist()) for e in batch.energy_mj.T]
+            if "area" in need:
+                for combo, platform in zip(fresh, platforms):
+                    if combo not in self._area_cache:
+                        self._area_cache[combo] = capstan_area(platform.config).total_mm2
+                columns["area"] = [self._area_cache[combo] for combo in fresh]
             for i, combo in enumerate(fresh):
-                costs = []
-                for objective in self.objectives:
-                    if objective == "cycles":
-                        costs.append(cycle_gmeans[i])
-                    elif objective == "energy":
-                        costs.append(energy_gmeans[i])
-                    else:
-                        area = self._area_cache.get(combo)
-                        if area is None:
-                            area = capstan_area(platforms[i].config).total_mm2
-                            self._area_cache[combo] = area
-                        costs.append(area)
-                cache[combo] = tuple(costs)
+                cache[combo] = tuple(columns[objective][i] for objective in self.objectives)
             self.evaluations += len(fresh) * len(indices) / len(self.profiles)
         return np.array([cache[c] for c in combos], dtype=np.float64).reshape(
             len(combos), len(self.objectives)
@@ -973,8 +1050,8 @@ class AdaptiveSearch:
         """Whether every generation has been committed."""
         return self.generation >= self.strategy.total_generations()
 
-    def step(self) -> Dict[str, Any]:
-        """Run and commit one generation; returns a progress summary."""
+    def step(self) -> None:
+        """Run and commit one generation."""
         if self.done:
             raise ConfigurationError("search already finished; nothing to step")
         current = self.generation
@@ -984,18 +1061,6 @@ class AdaptiveSearch:
         self.generation = current + 1
         if self.store is not None:
             self.store.save_state(self.key, self.generation, self.state_dict())
-        _, archive_costs = self.archive()
-        frontier_size = (
-            len(pareto_frontier(archive_costs)) if len(archive_costs) else 0
-        )
-        return {
-            "generation": current,
-            "proposed": len(proposal.combos),
-            "fidelity": proposal.fidelity,
-            "evaluations": self.evaluations,
-            "archive": len(self._full),
-            "frontier": frontier_size,
-        }
 
     def result(self) -> SearchResult:
         """The current full-fidelity archive as a :class:`SearchResult`."""
@@ -1043,4 +1108,6 @@ def _strategy_params(strategy: SearchStrategy) -> Dict[str, Any]:
             "crossover": strategy.crossover,
             "tournament": strategy.tournament,
         }
+    if isinstance(strategy, Grid):
+        return {"shuffle": strategy.shuffle, "start": strategy.start, "stop": strategy.stop}
     return {"name": strategy.name}

@@ -15,7 +15,8 @@ Endpoints (all JSON):
 * ``GET /healthz`` -- readiness: uptime, request counters, and whether
   the run/job store is usable (``degraded`` when it is not; store-backed
   routes answer ``503`` in that state while warm cache reads keep
-  working).
+  working); with ``--drain``, also the drain thread's liveness, jobs run
+  and error count (``degraded`` once the thread is gone).
 * ``GET /profile?app=bfs&dataset=wikipedia&scale=1/64`` -- ``200`` with
   the cached profile on a warm key; ``202`` with an enqueued job id on a
   cold one (``enqueue=0`` turns that into a plain ``404`` miss).
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sqlite3
 import sys
@@ -149,11 +151,14 @@ class CacheServer:
         cache_root: Optional[Path] = None,
         request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
+        drain: Optional[DrainStatus] = None,
     ):
         self.profile_cache = (
             ProfileCache(root=Path(cache_root)) if cache_root else ProfileCache()
         )
         self.throughput_store = ThroughputStore()
+        #: The in-process drain thread's status, when the server drains.
+        self.drain = drain
         self.request_timeout_s = float(request_timeout_s)
         self.max_body_bytes = int(max_body_bytes)
         self.started_at = time.monotonic()
@@ -266,6 +271,10 @@ class CacheServer:
             except sqlite3.Error as exc:
                 payload["status"] = "degraded"
                 payload["store_error"] = f"{type(exc).__name__}: {exc}"
+        if self.drain is not None:
+            payload["drain"] = self.drain.to_dict()
+            if not self.drain.alive:
+                payload["status"] = "degraded"
         return 200, payload
 
     def _profile(self, query: Dict[str, str]) -> Tuple[int, Dict[str, Any]]:
@@ -452,7 +461,9 @@ class CacheServer:
             axes = request.get("axes")
             if not axes:
                 raise _BadRequest("dse_grid jobs need a non-empty 'axes' mapping")
-            spec = JobSpec.dse_grid(axes, apps=apps, context=context)
+            spec = JobSpec.dse_grid(
+                axes, apps=apps, context=context, cache_root=self.profile_cache.root
+            )
         elif kind == "table_suite":
             spec = JobSpec.table_suite(request.get("tables"), scale=request.get("scale"))
         else:
@@ -586,10 +597,33 @@ class CacheServer:
             task.cancel()
 
 
+@dataclasses.dataclass
+class DrainStatus:
+    """Liveness and error record of one drain thread, read by ``/healthz``."""
+
+    thread: Optional[threading.Thread] = None
+    jobs_run: int = 0
+    errors: int = 0
+    last_error: Optional[str] = None
+
+    @property
+    def alive(self) -> bool:
+        return self.thread is not None and self.thread.is_alive()
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "alive": self.alive,
+            "jobs_run": self.jobs_run,
+            "errors": self.errors,
+            "last_error": self.last_error,
+        }
+
+
 def drain_pending_jobs(
     db: Optional[Path],
     *,
     stop: threading.Event,
+    status: DrainStatus,
     poll_s: float = 0.25,
     workers: int = 1,
 ) -> None:
@@ -597,19 +631,41 @@ def drain_pending_jobs(
 
     Runs on its own thread with its own store connection; this is the
     in-process stand-in for an external worker fleet draining the same
-    queue through ``repro-eval sweep --resume``.
+    queue through ``repro-eval sweep --resume``. A job that raises (a
+    busy store, a unit error) is counted in ``status``, and the loop backs
+    off by ``poll_s`` and keeps draining instead of dying silently.
     """
     from .executors import LocalExecutor
 
     executor = LocalExecutor(workers)
     with JobStore(db) as store:
         while not stop.is_set():
-            pending = [job for job in store.jobs() if job.state == JOB_PENDING]
-            if not pending:
+            try:
+                pending = [job for job in store.jobs() if job.state == JOB_PENDING]
+                if not pending:
+                    stop.wait(poll_s)
+                    continue
+                # jobs() is newest-first; drain oldest first.
+                store.run_job(pending[-1].id, executor)
+                status.jobs_run += 1
+            except Exception as exc:  # noqa: BLE001 - the drain outlives one bad job
+                status.errors += 1
+                status.last_error = f"{type(exc).__name__}: {exc}"
                 stop.wait(poll_s)
-                continue
-            # jobs() is newest-first; drain oldest first.
-            store.run_job(pending[-1].id, executor)
+
+
+def start_drain(db: Optional[Path], stop: threading.Event) -> DrainStatus:
+    """Start :func:`drain_pending_jobs` on a daemon thread; returns its status."""
+    status = DrainStatus()
+    status.thread = threading.Thread(
+        target=drain_pending_jobs,
+        args=(db,),
+        kwargs={"stop": stop, "status": status},
+        daemon=True,
+        name="repro-serve-drain",
+    )
+    status.thread.start()
+    return status
 
 
 class BackgroundServer:
@@ -645,23 +701,16 @@ class BackgroundServer:
         self._stop_async: Optional[asyncio.Event] = None
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run, daemon=True, name="repro-serve")
-        self._drain_thread: Optional[threading.Thread] = None
+        self._drain_status: Optional[DrainStatus] = None
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "BackgroundServer":
-        self._thread.start()
         if self._drain:
-            self._drain_thread = threading.Thread(
-                target=drain_pending_jobs,
-                args=(self._db,),
-                kwargs={"stop": self._stop},
-                daemon=True,
-                name="repro-serve-drain",
-            )
-            self._drain_thread.start()
+            self._drain_status = start_drain(self._db, self._stop)
+        self._thread.start()
         if not self._started.wait(timeout=30):
             raise RuntimeError("serve thread failed to start in time")
         if self._error is not None:
@@ -673,8 +722,8 @@ class BackgroundServer:
         if self._loop is not None and self._stop_async is not None:
             self._loop.call_soon_threadsafe(self._stop_async.set)
         self._thread.join(timeout=10)
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=10)
+        if self._drain_status is not None and self._drain_status.thread is not None:
+            self._drain_status.thread.join(timeout=10)
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()
@@ -697,6 +746,7 @@ class BackgroundServer:
             cache_root=self._cache_root,
             request_timeout_s=self._request_timeout_s,
             max_body_bytes=self._max_body_bytes,
+            drain=self._drain_status,
         )
         server = await asyncio.start_server(handler.serve_client, self.host, self.port)
         try:
@@ -710,10 +760,11 @@ class BackgroundServer:
             handler.close()
 
 
-async def _serve_forever(args: argparse.Namespace) -> None:
+async def _serve_forever(args: argparse.Namespace, drain: Optional[DrainStatus]) -> None:
     handler = CacheServer(
         db=Path(args.db) if args.db else None,
         cache_root=Path(args.cache_dir) if args.cache_dir else None,
+        drain=drain,
     )
     server = await asyncio.start_server(handler.serve_client, args.host, args.port)
     address = server.sockets[0].getsockname()
@@ -762,17 +813,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     stop = threading.Event()
-    if args.drain:
-        drain_thread = threading.Thread(
-            target=drain_pending_jobs,
-            args=(Path(args.db) if args.db else None,),
-            kwargs={"stop": stop},
-            daemon=True,
-            name="repro-serve-drain",
-        )
-        drain_thread.start()
+    drain = start_drain(Path(args.db) if args.db else None, stop) if args.drain else None
     try:
-        asyncio.run(_serve_forever(args))
+        asyncio.run(_serve_forever(args, drain))
     except KeyboardInterrupt:
         pass
     finally:

@@ -406,30 +406,10 @@ class TestStreamingDSE:
         axes = dict(lanes=(8, 16), banks=(8, 16), ideal_sram=(True,))
         full = explore(profiles=profiles, **axes)
         streamed = explore(profiles=profiles, memory_budget=2048, **axes)
-        assert streamed.batch is None
         assert np.array_equal(full.gmean_cycles, streamed.gmean_cycles)
         assert np.array_equal(full.area_mm2, streamed.area_mm2)
         assert full.frontier() == streamed.frontier()
         assert full.rows() == streamed.rows()
-
-    def test_keep_grid_materializes_under_budget(self):
-        profiles = _profiles()
-        axes = dict(lanes=(8, 16), banks=(8, 16), ideal_sram=(True,))
-        full = explore(profiles=profiles, **axes)
-        kept = explore(profiles=profiles, memory_budget=2048, keep_grid=True, **axes)
-        assert kept.batch is not None
-        assert np.array_equal(full.cycles, kept.cycles)
-
-    def test_streamed_cycles_access_raises(self):
-        streamed = explore(
-            profiles=_profiles(),
-            memory_budget=1024,
-            lanes=(8, 16),
-            ideal_sram=(True,),
-        )
-        assert streamed.batch is None
-        with pytest.raises(ConfigurationError):
-            streamed.cycles
 
 
 class TestCLIBudgetSeam:

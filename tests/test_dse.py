@@ -15,7 +15,7 @@ from repro.config import SpMUConfig
 from repro.core import spmu as spmu_module
 from repro.core.ordering import OrderingMode
 from repro.errors import ConfigurationError
-from repro.runtime import dse as dse_module
+from repro.runtime import search as search_module
 from repro.runtime.cache import ThroughputStore, throughput_store_enabled
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore, pareto_frontier
@@ -207,7 +207,7 @@ class TestParetoFrontier:
             )
         ]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dse_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
+            patch.setattr(search_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
             assert pareto_frontier(costs).tolist() == expected
 
 
@@ -230,7 +230,7 @@ class TestExplore:
 
     def test_explore_with_prebuilt_profiles(self):
         result = explore(profiles=self._profiles(), lanes=(8, 16), banks=(16, 32))
-        assert result.cycles.shape == (2, 4)
+        assert result.costs.shape == (4, 2)
         assert result.names == ["8-16", "8-32", "16-16", "16-32"]
         assert result.tasks == [("a", "d"), ("b", "e")]
         assert (result.area_mm2 > 0).all()
@@ -262,9 +262,6 @@ class TestExplore:
         full = explore(**kwargs)
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1024")
         streamed = explore(**kwargs)
-        assert streamed.batch is None  # the grid really was streamed out
-        with pytest.raises(ConfigurationError):
-            _ = streamed.cycles
         top = streamed.top_rows(2)
         assert top == full.top_rows(2)
         assert [r["gmean_cycles"] for r in top] == sorted(
@@ -332,7 +329,8 @@ class TestDseCli:
         payload = json.loads(out_json.read_text())
         assert len(payload["variants"]) == 4
         assert payload["frontier"]
-        assert len(payload["cycles"]) == len(payload["tasks"]) == 3
+        assert len(payload["tasks"]) == 3
+        assert "cycles" not in payload  # per-cell costs are not part of the report
 
     def test_dse_cli_rejects_unknown_axis(self):
         with pytest.raises(SystemExit):

@@ -19,6 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import ScannerConfig
+from repro.errors import ConfigurationError
+from repro.runtime.cache import ProfileCache
+from repro.runtime.dse import explore
 from repro.runtime.executors import LocalExecutor
 from repro.runtime.executors.subprocess import _worker_env
 from repro.runtime.jobs import (
@@ -89,6 +92,43 @@ class TestJobSpecBuilders:
         for (_, stop), (start, _) in zip(bounds, bounds[1:]):
             assert start == stop
         assert all(stop - start <= 2 for start, stop in bounds)
+
+    def test_dse_grid_rejects_invalid_structural_value(self):
+        with pytest.raises(ConfigurationError, match="lanes must be a power of two"):
+            JobSpec.dse_grid({"lanes": [8, 12]}, apps=["spmv-csr"])
+
+    def test_dse_grid_units_reproduce_explore(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
+        context = RunContext(scale=1 / 512)
+        cache_root = tmp_path / "profiles"
+        # Axes out of alphabetical order: the persisted payload sorts its
+        # keys, and the chunks must still slice the declared cartesian order.
+        axes = {"lanes": [8, 16], "banks": [16, 32]}
+        spec = JobSpec.dse_grid(
+            axes, apps=["spmv-csr"], context=context, max_chunk=3, cache_root=cache_root
+        )
+        assert [(u.payload["start"], u.payload["stop"]) for u in spec.units] == [
+            (0, 3),
+            (3, 4),
+        ]
+        with JobStore(tmp_path / "runs.sqlite") as store:
+            job = store.submit(spec)
+            assert store.run_job(job.id, LocalExecutor()).state == JOB_DONE
+            chunks = [result for _, result in store.results(job.id)]
+        assert list(cache_root.glob("*.json"))  # profiles landed under cache_root
+        got = {
+            key: [value for chunk in chunks for value in chunk[key]]
+            for key in ("names", "gmean_cycles", "area_mm2")
+        }
+        rows = explore(
+            apps=["spmv-csr"], context=context, cache=ProfileCache(root=cache_root), **axes
+        ).rows()
+        assert got == {
+            "names": [row["name"] for row in rows],
+            "gmean_cycles": [row["gmean_cycles"] for row in rows],
+            "area_mm2": [row["area_mm2"] for row in rows],
+        }
+        assert got["names"] == ["8-16", "8-32", "16-16", "16-32"]
 
     def test_table_suite_rejects_unknown_table(self):
         with pytest.raises(JobError, match="unknown tables"):

@@ -18,7 +18,6 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.apps.profile import WorkloadProfile
 from repro.errors import ConfigurationError
-from repro.runtime import dse as dse_module
+from repro.runtime import search as search_module
 from repro.runtime.cli import main as cli_main
 from repro.runtime.dse import explore
 from repro.runtime.executors import LocalExecutor
@@ -37,6 +36,7 @@ from repro.runtime.jobs import UNIT_DONE, JobSpec, JobStore
 from repro.runtime.registry import RunContext
 from repro.runtime.search import (
     AdaptiveSearch,
+    Grid,
     SearchSpace,
     SearchStore,
     hypervolume,
@@ -139,6 +139,36 @@ class TestSearchSpace:
         assert values["lanes"] == 16 and values["banks"] == 16
         assert len(seeds) == len(set(seeds))
 
+    def test_validate_checks_every_candidate_value(self):
+        SearchSpace.from_axes(AXES).validate()
+        with pytest.raises(ConfigurationError, match="banks must be a power of two"):
+            SearchSpace.from_axes({"lanes": ["8"], "banks": ["16", "24"]}).validate()
+
+
+class TestGrid:
+    def test_proposes_cartesian_order_slices_and_seeded_permutations(self):
+        space = SearchSpace.from_axes({"lanes": ["8", "16"], "banks": ["16", "32", "64"]})
+        engine = AdaptiveSearch(space, Grid(), _profiles(), objectives=("area",))
+        cartesian = list(itertools.product(range(2), range(3)))
+        assert list(Grid().propose(0, engine.rng, engine).combos) == cartesian
+        assert list(Grid(start=2, stop=5).propose(0, engine.rng, engine).combos) == (
+            cartesian[2:5]
+        )
+        # Shuffled: exactly one permutation draw from the engine's RNG.
+        shuffled = Grid(shuffle=True).propose(0, np.random.default_rng(7), engine).combos
+        order = np.random.default_rng(7).permutation(len(cartesian))
+        assert list(shuffled) == [cartesian[i] for i in order]
+
+    def test_one_generation_fills_the_archive_in_proposal_order(self):
+        space = SearchSpace.from_axes({"lanes": ["8", "16"], "banks": ["16", "32"]})
+        engine = AdaptiveSearch(space, Grid(shuffle=True), _profiles(), seed=3)
+        engine.step()
+        assert engine.done
+        combos, costs = engine.archive()
+        order = np.random.default_rng(3).permutation(space.size)
+        assert combos == [list(itertools.product(range(2), range(2)))[i] for i in order]
+        assert costs.shape == (4, 3)
+
 
 class TestRanking:
     def test_scalarize_is_zero_at_the_per_objective_best(self):
@@ -191,7 +221,7 @@ class TestRanking:
             remaining = [i for i in remaining if i not in front]
             layer += 1
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dse_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
+            patch.setattr(search_module, "_DOMINANCE_BLOCK_CELLS", block_cells)
             assert pareto_ranks(costs).tolist() == expected.tolist()
 
     def test_rank_order_prefers_frontier_then_scalar(self):
@@ -362,7 +392,7 @@ class TestDseSearchJob:
         "memory": ["ddr4", "hbm2e"],
     }
 
-    def _spec(self, store_root, generations=3):
+    def _spec(self, store_root, generations=3, cache_root=None):
         return JobSpec.dse_search(
             self.SMALL_AXES,
             strategy="evolve",
@@ -371,6 +401,7 @@ class TestDseSearchJob:
             apps=["spmv-csr"],
             context=RunContext(scale=1 / 512),
             store_root=store_root,
+            cache_root=cache_root,
         )
 
     def test_one_unit_per_generation(self, tmp_path):
@@ -379,6 +410,15 @@ class TestDseSearchJob:
         assert len({unit.key for unit in spec.units}) == 3
         assert all(unit.kind == "dse_search" for unit in spec.units)
         assert spec.key == self._spec(tmp_path / "search", generations=3).key
+
+    def test_units_read_profiles_under_cache_root(self, isolated_caches, tmp_path):
+        cache_root = tmp_path / "served-profiles"
+        spec = self._spec(tmp_path / "search", generations=1, cache_root=cache_root)
+        with JobStore(tmp_path / "runs.sqlite") as store:
+            job = store.submit(spec)
+            assert store.run_job(job.id, LocalExecutor()).failed == 0
+        assert list(cache_root.glob("*.json"))
+        assert not list((tmp_path / "profiles").glob("*.json"))  # the default root
 
     def test_job_equals_direct_engine(self, isolated_caches, tmp_path):
         job_store_root = tmp_path / "job-search"

@@ -8,6 +8,7 @@ an in-process drain worker and watches a cold query turn warm.
 from __future__ import annotations
 
 import json
+import sqlite3
 import time
 import urllib.request
 
@@ -210,6 +211,79 @@ class TestEndToEnd:
             assert payload is not None and payload["status"] == "cached"
             assert payload["profile"]["app"] == APP
             assert list(cache_root.glob("*.json"))
+
+    @staticmethod
+    def _get_json(url):
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.status, json.loads(response.read())
+
+    @staticmethod
+    def _wait_for(predicate, timeout_s=60.0):
+        deadline = time.perf_counter() + timeout_s
+        while time.perf_counter() < deadline:
+            if predicate():
+                return True
+            time.sleep(0.1)
+        return False
+
+    def test_dse_grid_job_writes_profiles_under_server_cache_root(
+        self, tmp_path, monkeypatch
+    ):
+        default_cache = tmp_path / "default-cache"
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(default_cache))
+        monkeypatch.setenv("REPRO_THROUGHPUT_CACHE", str(tmp_path / "throughput"))
+        cache_root = tmp_path / "cache"
+        body = json.dumps(
+            {
+                "type": "dse_grid",
+                "axes": {"banks": [16, 32]},
+                "apps": [APP],
+                "context": {"scale": 1 / 512},
+            }
+        ).encode()
+        with BackgroundServer(
+            db=tmp_path / "runs.sqlite", cache_root=cache_root, drain=True
+        ) as server:
+            request = urllib.request.Request(
+                f"{server.url}/jobs", data=body, method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                job_id = json.loads(response.read())["id"]
+            job_url = f"{server.url}/jobs/{job_id}"
+            assert self._wait_for(lambda: self._get_json(job_url)[1]["state"] == "done")
+        assert list(cache_root.glob("*.json"))
+        assert not list(default_cache.glob("*.json"))
+
+    def test_drain_survives_a_failing_job(self, tmp_path, monkeypatch):
+        original = JobStore.run_job
+        calls = []
+
+        def fails_once(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise sqlite3.OperationalError("database is locked")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobStore, "run_job", fails_once)
+        first, second = app_datasets()[APP][:2]
+        with BackgroundServer(
+            db=tmp_path / "runs.sqlite", cache_root=tmp_path / "cache", drain=True
+        ) as server:
+            urls = [
+                f"{server.url}/profile?app={APP}&dataset={dataset}&scale={SCALE_QUERY}"
+                for dataset in (first, second)
+            ]
+            assert self._get_json(urls[0])[0] == 202
+            assert self._wait_for(lambda: self._get_json(urls[0])[0] == 200)
+            # The drain thread outlived the error: the next job drains too.
+            assert self._get_json(urls[1])[0] == 202
+            assert self._wait_for(lambda: self._get_json(urls[1])[0] == 200)
+            status, health = self._get_json(f"{server.url}/healthz")
+        assert status == 200 and health["status"] == "ok"
+        assert health["drain"]["alive"] is True
+        assert health["drain"]["errors"] == 1
+        assert health["drain"]["jobs_run"] == 2
+        assert "database is locked" in health["drain"]["last_error"]
 
 
 class TestHardening:
